@@ -41,8 +41,10 @@ use fedora_storage::{splitmix64, FaultConfig};
 /// Checkpoint frame magic tag.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"FDCK";
 /// Checkpoint frame format version. v2 added the aggregation-mode
-/// optimizer state to the body.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// optimizer state to the body; v3 drops the bucket write counters,
+/// access traces and operation counts and adds the main ORAM's
+/// repaired-bucket map.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Journal file name inside a state directory.
 const JOURNAL_FILE: &str = "journal.log";

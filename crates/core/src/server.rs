@@ -1113,8 +1113,8 @@ impl FedoraServer {
 
     /// Serializes the full server state for a checkpoint: round counter,
     /// budget flag, accountant, entry quarantine, last committed report,
-    /// aggregation-mode optimizer state, main-ORAM controller + store
-    /// (SSD image, bucket write counters, cumulative integrity stats,
+    /// aggregation-mode optimizer state, main-ORAM controller (EO count,
+    /// repaired buckets) + store (SSD image, cumulative integrity stats,
     /// node quarantine), and the buffer ORAM.
     fn encode_checkpoint_body(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
@@ -1495,7 +1495,7 @@ impl FedoraServer {
         // heals on re-read (no repair needed), while persistent damage
         // predates the snapshot, survives the restore, and must be
         // repaired on the restored state or every retry aborts again.
-        let persistent = self.main.store_mut().read_bucket(node).is_err();
+        let persistent = self.main.read_bucket(node).is_err();
         self.main = snap.main;
         self.buffer = snap.buffer;
         if persistent {
@@ -2317,8 +2317,8 @@ mod tests {
             s.end_round(&mut mode, 1.0, &mut rng).unwrap();
         }
         assert_eq!(s.committed_rounds(), 10);
-        // Merkle-free counters still coherent.
-        assert!(s.main_oram().counters_match_schedule());
+        // Every bucket authenticates at the counter its EO count derives.
+        assert!(s.scrub().unwrap().is_clean());
     }
 
     #[test]
@@ -2960,6 +2960,37 @@ mod tests {
             assert!(ns > 0.0 && ns < 500e6, "threads={threads}: {ns} ns");
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn checkpoint_size_stays_bounded() {
+        // Controller state must not grow with the round count: only the ε
+        // ledger (8 B per round) and the stash occupancy move the size.
+        let dir = temp_state_dir("bounded");
+        let mut rng = StdRng::seed_from_u64(23);
+        let config = FedoraConfig::for_testing(TableSpec::tiny(256), 32);
+        let mut s = FedoraServer::new(config, |id| vec![id as u8; 32], &mut rng);
+        s.enable_durability(&dir).unwrap();
+        let mut mode = FedAvg;
+        let mut sizes = Vec::new();
+        for round in 0..40u64 {
+            let reqs: Vec<u64> = (0..32).map(|i| (i * 11 + round * 7) % 256).collect();
+            s.begin_round(&reqs, &mut rng).unwrap();
+            for &id in &reqs {
+                let _ = s.serve(id, &mut rng).unwrap();
+            }
+            s.end_round(&mut mode, 1.0, &mut rng).unwrap();
+            let bytes = s.metrics_snapshot().gauge("durable.checkpoint.bytes");
+            sizes.push(bytes.unwrap_or(0.0));
+        }
+        let growth = sizes[39] - sizes[0];
+        assert!(
+            growth <= 4096.0,
+            "checkpoint grew {growth} B over 39 rounds ({} → {} B)",
+            sizes[0],
+            sizes[39]
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

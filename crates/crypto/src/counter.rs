@@ -81,13 +81,15 @@ impl EvictionSchedule {
             "level {level} beyond depth {}",
             self.depth
         );
-        let width = 1u64 << level;
-        assert!(index < width, "index {index} out of range at level {level}");
+        assert!(
+            index < 1u64 << level,
+            "index {index} out of range at level {level}"
+        );
         let phase = bit_reverse(index, level);
         if eo_count <= phase {
             0
         } else {
-            (eo_count - phase - 1) / width + 1
+            ((eo_count - phase - 1) >> level) + 1
         }
     }
 
@@ -112,8 +114,8 @@ impl RootCounter {
     }
 
     /// Reconstructs a counter at `count` — the checkpoint-restore path.
-    /// Safe only with the exact persisted EO count: a stale value replays
-    /// nonces, which the AEAD layer then rejects as tampering.
+    /// Safe only with the exact persisted EO count: at a stale value,
+    /// bucket reads fail authentication and bucket writes reuse nonces.
     pub fn from_count(count: u64) -> Self {
         RootCounter(count)
     }

@@ -10,7 +10,7 @@
 //!
 //! The buffer ORAM is sized for the worst-case working set (max clients per
 //! round × max features per client — both public protocol parameters), so
-//! it can never overflow; its capacity is reconfigurable between rounds.
+//! it can never overflow.
 
 use fedora_crypto::aead::Key;
 use fedora_storage::profile::DramProfile;
@@ -101,7 +101,6 @@ impl BufferTelemetry {
 #[derive(Clone)]
 pub struct BufferOram {
     oram: PathOram<DramBucketStore>,
-    key: Key,
     entry_bytes: usize,
     capacity: usize,
     /// id → slot mapping for the current round (`None` marks a dummy
@@ -136,10 +135,9 @@ impl BufferOram {
         // Buffer blocks are 2× entry size + aggregation metadata (§4.3).
         let block_bytes = 2 * entry_bytes + AGG_META_BYTES;
         let geo = TreeGeometry::for_blocks(capacity as u64, block_bytes, 4);
-        let store = DramBucketStore::new(geo, key.clone(), DramProfile::default());
+        let store = DramBucketStore::new(geo, key, DramProfile::default());
         BufferOram {
             oram: PathOram::new(store, capacity as u64, rng),
-            key,
             entry_bytes,
             capacity,
             loaded: Vec::new(),
@@ -148,42 +146,10 @@ impl BufferOram {
     }
 
     /// Attaches telemetry: load/serve/aggregate counters under the
-    /// `oram.buffer` prefix plus the backing DRAM store's traffic. Survives
-    /// [`reconfigure`](Self::reconfigure).
+    /// `oram.buffer` prefix plus the backing DRAM store's traffic.
     pub fn set_telemetry(&mut self, registry: &Registry) {
         self.telemetry = BufferTelemetry::attach(registry);
         self.oram.store_mut().set_telemetry(registry);
-    }
-
-    /// Re-provisions the buffer ORAM for a new per-round capacity — the
-    /// §4.3 software reconfiguration used when the protocol's maximum
-    /// clients-per-round or features-per-client change. Only legal between
-    /// rounds (the working set must be empty).
-    ///
-    /// # Errors
-    ///
-    /// [`BufferError::CapacityExceeded`] if entries are still loaded (the
-    /// round must be drained first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn reconfigure<R: Rng>(&mut self, capacity: usize, rng: &mut R) -> Result<(), BufferError> {
-        assert!(capacity > 0, "capacity must be positive");
-        if !self.loaded.is_empty() {
-            return Err(BufferError::CapacityExceeded {
-                capacity: self.capacity,
-            });
-        }
-        let block_bytes = 2 * self.entry_bytes + AGG_META_BYTES;
-        let geo = TreeGeometry::for_blocks(capacity as u64, block_bytes, 4);
-        let store = DramBucketStore::new(geo, self.key.clone(), DramProfile::default());
-        self.oram = PathOram::new(store, capacity as u64, rng);
-        self.oram
-            .store_mut()
-            .set_telemetry(&self.telemetry.registry);
-        self.capacity = capacity;
-        Ok(())
     }
 
     /// The per-round capacity in entries.
@@ -369,9 +335,10 @@ impl BufferOram {
     }
 
     /// Serializes the buffer ORAM's full state — round working set,
-    /// controller, and encrypted DRAM store image — into `w` for
-    /// checkpointing. The AEAD key is *not* serialized (it is
-    /// config-derived; checkpoints must not leak key material).
+    /// controller (with its bucket counters), and encrypted DRAM store
+    /// image — into `w` for checkpointing. The AEAD key is *not*
+    /// serialized (it is config-derived; checkpoints must not leak key
+    /// material).
     pub fn encode_state(&self, w: &mut ByteWriter) {
         w.put_u64(self.capacity as u64);
         w.put_u64(self.entry_bytes as u64);
@@ -553,23 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn reconfigure_between_rounds() {
-        let (mut b, mut rng) = buffer(4);
-        b.load_entry(1, &entry([1.0, 0.0, 0.0, 0.0]), &mut rng)
-            .unwrap();
-        // Mid-round reconfiguration is refused.
-        assert!(b.reconfigure(16, &mut rng).is_err());
-        b.drain_round(&mut rng).unwrap();
-        b.reconfigure(16, &mut rng).unwrap();
-        assert_eq!(b.capacity(), 16);
-        // The bigger buffer works.
-        for id in 0..16u64 {
-            b.load_entry(id, &entry([0.0; 4]), &mut rng).unwrap();
-        }
-        assert_eq!(b.loaded_len(), 16);
-    }
-
-    #[test]
     fn dummies_tracked_and_drained() {
         let (mut b, mut rng) = buffer(4);
         b.load_entry(1, &entry([1.0, 0.0, 0.0, 0.0]), &mut rng)
@@ -602,7 +552,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counts_round_steps_and_survives_reconfigure() {
+    fn telemetry_counts_round_steps() {
         let registry = Registry::new();
         let (mut b, mut rng) = buffer(4);
         b.set_telemetry(&registry);
@@ -613,13 +563,10 @@ mod tests {
         b.aggregate(1, &[1.0, 0.0, 0.0, 0.0], 1.0, &mut rng)
             .unwrap();
         b.drain_round(&mut rng).unwrap();
-        b.reconfigure(8, &mut rng).unwrap();
-        b.load_entry(2, &entry([0.0; 4]), &mut rng).unwrap();
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("oram.buffer.loads"), Some(3));
+        assert_eq!(snap.counter("oram.buffer.loads"), Some(2));
         assert_eq!(snap.counter("oram.buffer.serves"), Some(1));
         assert_eq!(snap.counter("oram.buffer.aggregates"), Some(1));
-        // The reconfigured store keeps feeding device telemetry.
         assert!(snap.counter("dram.store.bytes_written").unwrap_or(0) > 0);
     }
 

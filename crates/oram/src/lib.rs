@@ -24,9 +24,10 @@
 //!   second half accumulates gradients (plus a sample-count slot), serving
 //!   user requests and implementing Eq. 4's Σ Pre(Δθ).
 //!
-//! Every ORAM records a physical access *trace* (the leaf/path identifiers
-//! an adversary would observe); property tests use the trace to check
-//! obliviousness claims.
+//! The ORAM controllers keep only protocol state. Physical access traces
+//! come from the device: an [`AccessTraceRecorder`](fedora_storage::AccessTraceRecorder)
+//! attached to a [`store::SsdBucketStore`] captures the page sequence an
+//! adversary would observe, and tests use it to check obliviousness claims.
 //!
 //! # Example
 //!

@@ -2,8 +2,10 @@
 //!
 //! Every access reads one whole path into the stash, serves the block,
 //! remaps it to a fresh random leaf, and greedily writes the path back.
-//! This is the engine inside the paper's `Path ORAM+` baseline; FEDORA's
-//! main ORAM uses the RAW variant in [`crate::raw`] instead.
+//! This is the engine inside the paper's `Path ORAM+` baseline and the
+//! buffer ORAM; FEDORA's main ORAM uses the RAW variant in [`crate::raw`]
+//! instead. Any access may write any path, so the controller keeps one
+//! encryption counter per bucket.
 
 use fedora_storage::{ByteReader, ByteWriter, CodecError};
 use rand::Rng;
@@ -22,20 +24,21 @@ pub struct PathOram<S: BucketStore> {
     position: PositionMap,
     stash: Stash,
     num_blocks: u64,
-    trace: Vec<u64>,
-    accesses: u64,
+    /// Each bucket's encryption counter: how often its node was written.
+    counts: Vec<u64>,
 }
 
 impl<S: BucketStore> PathOram<S> {
     /// Creates a Path ORAM holding `num_blocks` logical blocks, all
     /// initially zero-filled (blocks materialize in the tree as they are
-    /// first evicted).
+    /// first evicted). Seals the empty tree at counter 0; that traffic is
+    /// excluded from device statistics.
     ///
     /// # Panics
     ///
     /// Panics if the tree would be over half full — the provisioning
     /// bound that keeps stash occupancy small.
-    pub fn new<R: Rng>(store: S, num_blocks: u64, rng: &mut R) -> Self {
+    pub fn new<R: Rng>(mut store: S, num_blocks: u64, rng: &mut R) -> Self {
         let geo = store.geometry();
         assert!(
             2 * num_blocks <= geo.capacity_blocks(),
@@ -43,13 +46,20 @@ impl<S: BucketStore> PathOram<S> {
             geo.capacity_blocks()
         );
         let position = PositionMap::random(num_blocks, geo.num_leaves(), rng);
+        let empty = Bucket::empty(geo.z(), geo.block_bytes());
+        for node in 0..geo.num_nodes() {
+            #[allow(clippy::expect_used)] // pre-injector, store sized for the tree
+            store
+                .write_bucket(node, &empty, 0)
+                .expect("store sized for the tree");
+        }
+        store.reset_device_stats();
         PathOram {
             store,
             position,
             stash: Stash::new(),
             num_blocks,
-            trace: Vec::new(),
-            accesses: 0,
+            counts: vec![0; geo.num_nodes() as usize],
         }
     }
 
@@ -78,32 +88,20 @@ impl<S: BucketStore> PathOram<S> {
         self.stash.high_water()
     }
 
-    /// Number of accesses performed.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Takes the recorded physical trace (the leaf of each path touched) —
-    /// exactly what an adversary observing the untrusted memory sees.
-    pub fn take_trace(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.trace)
-    }
-
     /// The current leaf assignment of `id`. Crate-internal: the recursive
     /// position-map construction records where its level blocks landed.
     pub(crate) fn position_of(&mut self, id: u64) -> u64 {
         self.position.get(id)
     }
 
-    /// Serializes the controller state — position map, stash, access
-    /// counter, and pending trace — into `w`. The backing store is encoded
-    /// separately by the caller (it owns the device image).
+    /// Serializes the controller state — position map, stash, and bucket
+    /// counters — into `w`. The backing store is encoded separately by
+    /// the caller (it owns the device image).
     pub fn encode_controller_state(&self, w: &mut ByteWriter) {
         w.put_u64(self.num_blocks);
         self.position.encode_state(w);
         self.stash.encode_state(w);
-        w.put_u64(self.accesses);
-        w.put_u64s(&self.trace);
+        w.put_u64s(&self.counts);
     }
 
     /// Restores controller state captured by
@@ -119,8 +117,11 @@ impl<S: BucketStore> PathOram<S> {
         }
         self.position.decode_state(r)?;
         self.stash.decode_state(r)?;
-        self.accesses = r.get_u64()?;
-        self.trace = r.get_u64s()?;
+        let counts = r.get_u64s()?;
+        if counts.len() != self.counts.len() {
+            return Err(CodecError::Invalid("path-oram node-count mismatch"));
+        }
+        self.counts = counts;
         Ok(())
     }
 
@@ -132,6 +133,42 @@ impl<S: BucketStore> PathOram<S> {
             });
         }
         Ok(())
+    }
+
+    /// One physical access: reads the path to `leaf` into the stash, lets
+    /// `serve` act on the stash, then greedily writes the path back
+    /// (deepest level first), each bucket at its next counter.
+    fn access_path<T>(
+        &mut self,
+        leaf: u64,
+        serve: impl FnOnce(&mut Stash) -> T,
+    ) -> Result<T, OramError> {
+        let geo = self.store.geometry();
+        let nodes = geo.path_nodes(leaf);
+        let mut counts: Vec<u64> = nodes.iter().map(|&n| self.counts[n as usize]).collect();
+        let mut path = self.store.read_path(leaf, &counts)?;
+        for bucket in &mut path {
+            for block in bucket.drain_valid() {
+                self.stash.push(block);
+            }
+        }
+        let served = serve(&mut self.stash);
+        let mut out_path = vec![Bucket::empty(geo.z(), geo.block_bytes()); path.len()];
+        for level in (0..=geo.depth()).rev() {
+            for block in self
+                .stash
+                .drain_for_bucket(leaf, level, geo.depth(), geo.z())
+            {
+                let inserted = out_path[level as usize].try_insert(block);
+                debug_assert!(inserted, "drain_for_bucket respects capacity");
+            }
+        }
+        for (count, &node) in counts.iter_mut().zip(&nodes) {
+            self.counts[node as usize] += 1;
+            *count = self.counts[node as usize];
+        }
+        self.store.write_path(leaf, &out_path, &counts)?;
+        Ok(served)
     }
 
     /// The core access: reads the block's path, optionally overwrites the
@@ -154,45 +191,22 @@ impl<S: BucketStore> PathOram<S> {
         }
         let new_leaf = rng.gen_range(0..geo.num_leaves());
         let leaf = self.position.get_and_remap(id, new_leaf);
-        self.trace.push(leaf);
-        self.accesses += 1;
-
-        // ② Bring the whole path into the stash.
-        let mut path = self.store.read_path(leaf)?;
-        for bucket in &mut path {
-            for block in bucket.drain_valid() {
-                self.stash.push(block);
+        // Serve the block, materializing it on first touch.
+        self.access_path(leaf, |stash| {
+            if let Some(block) = stash.get_mut(id) {
+                let old_payload = block.payload.clone();
+                block.leaf = new_leaf;
+                if let Some(p) = new_payload {
+                    block.payload = p;
+                }
+                old_payload
+            } else {
+                let old_payload = vec![0u8; geo.block_bytes()];
+                let payload = new_payload.unwrap_or_else(|| old_payload.clone());
+                stash.push(Block::new(id, new_leaf, payload));
+                old_payload
             }
-        }
-
-        // ③ Serve the block (materializing it on first touch).
-        let old_payload;
-        if let Some(block) = self.stash.get_mut(id) {
-            old_payload = block.payload.clone();
-            block.leaf = new_leaf;
-            if let Some(p) = new_payload {
-                block.payload = p;
-            }
-        } else {
-            old_payload = vec![0u8; geo.block_bytes()];
-            let payload = new_payload.unwrap_or_else(|| old_payload.clone());
-            self.stash.push(Block::new(id, new_leaf, payload));
-        }
-
-        // ⑤ Greedy write-back, deepest level first.
-        let mut out_path = vec![Bucket::empty(geo.z(), geo.block_bytes()); path.len()];
-        for level in (0..=geo.depth()).rev() {
-            let candidates = self
-                .stash
-                .drain_for_bucket(leaf, level, geo.depth(), geo.z());
-            let bucket = &mut out_path[level as usize];
-            for block in candidates {
-                let inserted = bucket.try_insert(block);
-                debug_assert!(inserted, "drain_for_bucket respects capacity");
-            }
-        }
-        self.store.write_path(leaf, &out_path)?;
-        Ok(old_payload)
+        })
     }
 
     /// Reads block `id`.
@@ -222,28 +236,8 @@ impl<S: BucketStore> PathOram<S> {
     /// Performs a dummy access: reads and rewrites a uniformly random path
     /// without touching any block — indistinguishable from a real access.
     pub fn dummy_access<R: Rng>(&mut self, rng: &mut R) -> Result<(), OramError> {
-        let geo = self.store.geometry();
-        let leaf = rng.gen_range(0..geo.num_leaves());
-        self.trace.push(leaf);
-        self.accesses += 1;
-        let mut path = self.store.read_path(leaf)?;
-        for bucket in &mut path {
-            for block in bucket.drain_valid() {
-                self.stash.push(block);
-            }
-        }
-        let mut out_path = vec![Bucket::empty(geo.z(), geo.block_bytes()); path.len()];
-        for level in (0..=geo.depth()).rev() {
-            for block in self
-                .stash
-                .drain_for_bucket(leaf, level, geo.depth(), geo.z())
-            {
-                let inserted = out_path[level as usize].try_insert(block);
-                debug_assert!(inserted, "drain_for_bucket respects capacity");
-            }
-        }
-        self.store.write_path(leaf, &out_path)?;
-        Ok(())
+        let leaf = rng.gen_range(0..self.store.geometry().num_leaves());
+        self.access_path(leaf, |_| ())
     }
 }
 
@@ -251,8 +245,10 @@ impl<S: BucketStore> PathOram<S> {
 mod tests {
     use super::*;
     use crate::geometry::TreeGeometry;
-    use crate::store::DramBucketStore;
+    use crate::store::{DramBucketStore, SsdBucketStore};
     use fedora_crypto::aead::Key;
+    use fedora_storage::profile::SsdProfile;
+    use fedora_storage::AccessTraceRecorder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -262,6 +258,31 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let o = PathOram::new(store, blocks, &mut rng);
         (o, rng)
+    }
+
+    /// A Path ORAM on the simulated SSD whose page trace — what an
+    /// adversary watching the device sees — goes to the returned recorder.
+    fn recorded_oram(
+        blocks: u64,
+        seed: u64,
+    ) -> (PathOram<SsdBucketStore>, AccessTraceRecorder, StdRng) {
+        let geo = TreeGeometry::for_blocks(blocks, 16, 4);
+        let store = SsdBucketStore::new(geo, Key::from_bytes([1; 32]), SsdProfile::default());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut o = PathOram::new(store, blocks, &mut rng);
+        let recorder = AccessTraceRecorder::new();
+        o.store_mut().set_access_recorder(recorder.clone());
+        (o, recorder, rng)
+    }
+
+    /// The leaf of every path access in `recorder`'s trace.
+    fn observed_leaves(o: &PathOram<SsdBucketStore>, recorder: &AccessTraceRecorder) -> Vec<u64> {
+        let paths = o.store().observed_paths(&recorder.take());
+        assert!(
+            paths.iter().all(|&(_, written)| written),
+            "every access writes back"
+        );
+        paths.into_iter().map(|(leaf, _)| leaf).collect()
     }
 
     #[test]
@@ -347,14 +368,13 @@ mod tests {
 
     #[test]
     fn trace_records_one_leaf_per_access() {
-        let (mut o, mut rng) = oram(16, 8);
+        let (mut o, recorder, mut rng) = recorded_oram(16, 8);
         for id in 0..10 {
             o.read(id, &mut rng).unwrap();
         }
         o.dummy_access(&mut rng).unwrap();
-        let trace = o.take_trace();
-        assert_eq!(trace.len(), 11);
-        assert!(o.take_trace().is_empty());
+        assert_eq!(observed_leaves(&o, &recorder).len(), 11);
+        assert!(recorder.is_empty());
     }
 
     #[test]
@@ -375,11 +395,11 @@ mod tests {
     fn trace_is_uniform_over_leaves() {
         let n_accesses = 4000usize;
         // Workload A: hammer one block. Workload B: scan all blocks.
-        let (mut oa, mut rng_a) = oram(64, 10);
+        let (mut oa, rec_a, mut rng_a) = recorded_oram(64, 10);
         for _ in 0..n_accesses {
             oa.read(7, &mut rng_a).unwrap();
         }
-        let (mut ob, mut rng_b) = oram(64, 11);
+        let (mut ob, rec_b, mut rng_b) = recorded_oram(64, 11);
         for i in 0..n_accesses {
             ob.read((i % 64) as u64, &mut rng_b).unwrap();
         }
@@ -391,8 +411,8 @@ mod tests {
             }
             h
         };
-        let ha = histo(&oa.take_trace());
-        let hb = histo(&ob.take_trace());
+        let ha = histo(&observed_leaves(&oa, &rec_a));
+        let hb = histo(&observed_leaves(&ob, &rec_b));
         let expected = n_accesses as f64 / leaves as f64;
         // Chi-square-ish sanity: every leaf within 5 sigma of uniform.
         let sigma = expected.sqrt();

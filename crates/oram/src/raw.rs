@@ -21,11 +21,15 @@
 //!   (and the bucket size) can be much larger than in on-chip designs,
 //!   slashing EO frequency.
 //!
-//! The vanilla RAW ORAM access ([`RawOram::access`]) is also provided for
-//! comparison: it interleaves EO accesses among AO accesses as the original
-//! design requires.
+//! Buckets are written only in EO accesses, in the schedule's fixed order,
+//! so the EO count alone determines every bucket's encryption counter
+//! (paper §5.2): the controller derives each counter when it touches a
+//! bucket and stores none, apart from the few buckets it has repaired.
+
+use std::collections::BTreeMap;
 
 use fedora_crypto::counter::{EvictionSchedule, RootCounter};
+use fedora_crypto::IntegrityError;
 use fedora_storage::{ByteReader, ByteWriter, CodecError};
 use fedora_telemetry::{Counter, Gauge, Histogram, Registry};
 use rand::Rng;
@@ -34,24 +38,19 @@ use crate::block::Block;
 use crate::bucket::Bucket;
 use crate::position::PositionMap;
 use crate::stash::Stash;
-use crate::store::BucketStore;
+use crate::store::{BucketStore, ScrubReport};
 use crate::vtree::VTree;
 use crate::OramError;
 
 /// Configuration of a RAW ORAM.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RawOramConfig {
-    /// The eviction period `A`: one EO access per `A` AO accesses (vanilla
-    /// mode) or per `A` insertions (FEDORA write phase).
+    /// The eviction period `A`: one EO access per `A` insertions (FEDORA
+    /// write phase).
     pub eviction_period: u32,
 }
 
 impl RawOramConfig {
-    /// The original RAW ORAM's small period (`A = 5`).
-    pub fn original() -> Self {
-        RawOramConfig { eviction_period: 5 }
-    }
-
     /// FEDORA's tuned period for 4-KiB buckets (`A` up to 92; §4.4).
     pub fn fedora_tuned() -> Self {
         RawOramConfig {
@@ -64,19 +63,6 @@ impl Default for RawOramConfig {
     fn default() -> Self {
         Self::fedora_tuned()
     }
-}
-
-/// Operation counters exposed for the latency/lifetime models.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RawOramCounts {
-    /// Real AO accesses (path reads that served a block).
-    pub ao_accesses: u64,
-    /// Dummy AO accesses (path reads for FDP padding).
-    pub dummy_accesses: u64,
-    /// EO accesses (path read + write).
-    pub eo_accesses: u64,
-    /// Blocks inserted during write phases.
-    pub insertions: u64,
 }
 
 /// Telemetry handles for the RAW ORAM's own operations. Latencies are host
@@ -126,24 +112,26 @@ pub struct RawOram<S: BucketStore> {
     vtree: VTree,
     schedule: EvictionSchedule,
     eo_counter: RootCounter,
-    ao_since_eo: u32,
     inserts_since_eo: u32,
     config: RawOramConfig,
     num_blocks: u64,
-    counts: RawOramCounts,
-    ao_trace: Vec<u64>,
-    eo_trace: Vec<u64>,
+    /// Repairs per node: each re-seals the bucket one counter past its
+    /// derived value, so a node's counter is the derived count plus this.
+    repaired: BTreeMap<u64, u64>,
     telemetry: OramTelemetry,
     /// Reused eviction output-path buffer (cleared, not reallocated).
     scratch_path: Vec<Bucket>,
     /// Reused valid-bit buffer for VTree bucket updates.
     scratch_bits: Vec<bool>,
+    /// Reused per-path counter buffer (root first).
+    scratch_counts: Vec<u64>,
 }
 
 impl<S: BucketStore> RawOram<S> {
     /// Creates a RAW ORAM holding `num_blocks` blocks, bulk-loading the
     /// initial payloads produced by `init` (e.g. fresh embedding rows).
-    /// Initialization traffic is excluded from device statistics.
+    /// Every bucket is sealed once, at counter 0; that traffic is excluded
+    /// from device statistics.
     ///
     /// # Panics
     ///
@@ -194,7 +182,7 @@ impl<S: BucketStore> RawOram<S> {
         for (node, bucket) in buckets.iter().enumerate() {
             #[allow(clippy::expect_used)] // pre-injector, tree sized exactly
             store
-                .load_bucket(node as u64, bucket)
+                .write_bucket(node as u64, bucket, 0)
                 .expect("bulk load within provisioned tree");
             let bits: Vec<bool> = bucket.slots().iter().map(|s| s.valid).collect();
             vtree.set_bucket(node as u64, &bits);
@@ -208,16 +196,14 @@ impl<S: BucketStore> RawOram<S> {
             vtree,
             schedule: EvictionSchedule::new(geo.depth()),
             eo_counter: RootCounter::new(),
-            ao_since_eo: 0,
             inserts_since_eo: 0,
             config,
             num_blocks,
-            counts: RawOramCounts::default(),
-            ao_trace: Vec::new(),
-            eo_trace: Vec::new(),
+            repaired: BTreeMap::new(),
             telemetry: OramTelemetry::default(),
             scratch_path: Vec::new(),
             scratch_bits: Vec::new(),
+            scratch_counts: Vec::new(),
         }
     }
 
@@ -296,43 +282,76 @@ impl<S: BucketStore> RawOram<S> {
         &self.vtree
     }
 
-    /// Operation counters.
-    pub fn counts(&self) -> RawOramCounts {
-        self.counts
-    }
-
     /// Total EO accesses so far (the root counter).
     pub fn eo_count(&self) -> u64 {
         self.eo_counter.get()
     }
 
-    /// The eviction schedule (exposed so tests can check the Merkle-free
-    /// counter property).
-    pub fn schedule(&self) -> EvictionSchedule {
-        self.schedule
+    /// `node`'s encryption counter after `eo_count` evictions: the times
+    /// the schedule has written it, plus its repairs.
+    fn counter(&self, node: u64, eo_count: u64) -> u64 {
+        let (level, index) = self.store.geometry().coords_of(node);
+        self.schedule.writes_to_bucket(level, index, eo_count)
+            + self.repaired.get(&node).copied().unwrap_or(0)
     }
 
-    /// Repairs an unrecoverable bucket: re-encrypts it *empty* at its
-    /// current write counter and clears the VTree's valid bits for it, so
-    /// the tree decrypts cleanly again. Blocks that resided in the bucket
-    /// are lost — later fetches of those ids report
+    /// Fills `scratch_counts` with the counters of the path to `leaf`
+    /// (root first) after `eo_count` evictions.
+    fn path_counts(&mut self, leaf: u64, eo_count: u64) {
+        let geo = self.store.geometry();
+        self.scratch_counts.clear();
+        for level in 0..=geo.depth() {
+            let count = self.counter(geo.node_at(level, leaf >> (geo.depth() - level)), eo_count);
+            self.scratch_counts.push(count);
+        }
+    }
+
+    /// Reads and decrypts one bucket at its current counter (scrubbing,
+    /// and probing a bucket that failed mid-round).
+    ///
+    /// # Errors
+    ///
+    /// [`OramError::Integrity`] when the bucket does not authenticate.
+    pub fn read_bucket(&mut self, node: u64) -> Result<Bucket, OramError> {
+        let count = self.counter(node, self.eo_counter.get());
+        self.store.read_bucket(node, count)
+    }
+
+    /// Repairs an unrecoverable bucket: re-seals it *empty* one counter
+    /// past its current one, clears its quarantine flag and the VTree's
+    /// valid bits for it, so the tree decrypts cleanly again and a replay
+    /// of the damaged bucket's old page reads as a rollback. Blocks that
+    /// resided in the bucket are lost — later fetches of those ids report
     /// [`OramError::MissingBlock`], which callers use to quarantine the
     /// affected entries (degraded mode) rather than abort.
     ///
     /// # Errors
     ///
-    /// [`OramError::Device`] on sizing bugs in the backing store.
+    /// Store errors propagate.
     pub fn repair_bucket(&mut self, node: u64) -> Result<(), OramError> {
-        self.store.repair_bucket(node)?;
-        let z = self.store.geometry().z();
-        self.vtree.set_bucket(node, &vec![false; z]);
+        let geo = self.store.geometry();
+        let count = self.counter(node, self.eo_counter.get()) + 1;
+        self.store
+            .write_bucket(node, &Bucket::empty(geo.z(), geo.block_bytes()), count)?;
+        *self.repaired.entry(node).or_insert(0) += 1;
+        self.store.clear_quarantine(node);
+        self.vtree.set_bucket(node, &vec![false; geo.z()]);
         Ok(())
     }
 
-    /// Verifies every bucket's MAC in the backing store (retrying
+    /// Verifies every bucket's MAC at its derived counter (retrying
     /// recoverable faults) and reports unrecoverable buckets.
-    pub fn scrub(&mut self) -> crate::store::ScrubReport {
-        self.store.scrub()
+    pub fn scrub(&mut self) -> ScrubReport {
+        let mut report = ScrubReport::default();
+        for node in 0..self.store.geometry().num_nodes() {
+            report.checked += 1;
+            match self.read_bucket(node) {
+                Ok(_) => report.healthy += 1,
+                Err(OramError::Integrity { kind, node: bad }) => report.failed.push((bad, kind)),
+                Err(_) => report.failed.push((node, IntegrityError::Corruption)),
+            }
+        }
+        report
     }
 
     /// Current stash occupancy.
@@ -343,16 +362,6 @@ impl<S: BucketStore> RawOram<S> {
     /// Highest stash occupancy observed.
     pub fn stash_high_water(&self) -> usize {
         self.stash.high_water()
-    }
-
-    /// Takes the AO trace (leaves of AO path reads).
-    pub fn take_ao_trace(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.ao_trace)
-    }
-
-    /// Takes the EO trace (leaves of EO path read/writes).
-    pub fn take_eo_trace(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.eo_trace)
     }
 
     fn check_id(&self, id: u64) -> Result<(), OramError> {
@@ -382,14 +391,13 @@ impl<S: BucketStore> RawOram<S> {
         let _timer = self.telemetry.access_latency.start_timer();
         self.telemetry.ao_accesses.incr();
         let leaf = self.position.get(id);
-        self.ao_trace.push(leaf);
-        self.counts.ao_accesses += 1;
 
         // The path is always read, even when the block turns out to be in
         // the stash — the access pattern must not depend on that.
         let geo = self.store.geometry();
         let nodes = geo.path_nodes(leaf);
-        let path = self.store.read_path(leaf)?;
+        self.path_counts(leaf, self.eo_counter.get());
+        let path = self.store.read_path(leaf, &self.scratch_counts)?;
 
         if let Some(block) = self.stash.take(id) {
             self.note_stash();
@@ -417,9 +425,8 @@ impl<S: BucketStore> RawOram<S> {
         self.telemetry.dummy_accesses.incr();
         let geo = self.store.geometry();
         let leaf = rng.gen_range(0..geo.num_leaves());
-        self.ao_trace.push(leaf);
-        self.counts.dummy_accesses += 1;
-        let _ = self.store.read_path(leaf)?;
+        self.path_counts(leaf, self.eo_counter.get());
+        let _ = self.store.read_path(leaf, &self.scratch_counts)?;
         Ok(())
     }
 
@@ -448,7 +455,6 @@ impl<S: BucketStore> RawOram<S> {
         let new_leaf = rng.gen_range(0..geo.num_leaves());
         self.position.set(id, new_leaf);
         self.stash.push(Block::new(id, new_leaf, payload));
-        self.counts.insertions += 1;
         self.telemetry.insertions.incr();
         self.note_stash();
         self.inserts_since_eo += 1;
@@ -468,7 +474,6 @@ impl<S: BucketStore> RawOram<S> {
     ///
     /// Store errors propagate from a triggered EO.
     pub fn insert_dummy(&mut self) -> Result<(), OramError> {
-        self.counts.insertions += 1;
         self.telemetry.insertions.incr();
         self.inserts_since_eo += 1;
         if self.inserts_since_eo >= self.config.eviction_period {
@@ -481,23 +486,25 @@ impl<S: BucketStore> RawOram<S> {
     /// One EO access: read the next path in reverse-lexicographic order,
     /// merge its (VTree-valid) blocks with the stash, greedily refill the
     /// path, and write it back. This is the **only** operation that writes
-    /// to the backing store.
+    /// to the backing store: eviction `e` reads its path at the counters
+    /// for `e` evictions and writes it at those for `e + 1`.
     ///
     /// # Errors
     ///
-    /// Store errors propagate.
+    /// Store errors propagate. A failed path read leaves the EO count
+    /// unchanged, so the tree's counters still match its pages.
     pub fn eo_access(&mut self) -> Result<(), OramError> {
         let _trace = self.telemetry.registry.trace_span("oram.eviction");
         let timer = self.telemetry.eviction_latency.start_timer();
         self.telemetry.eo_accesses.incr();
         let geo = self.store.geometry();
-        let e = self.eo_counter.advance();
+        let e = self.eo_counter.get();
         let leaf = self.schedule.leaf_for(e);
-        self.eo_trace.push(leaf);
-        self.counts.eo_accesses += 1;
 
         let nodes = geo.path_nodes(leaf);
-        let path = self.store.read_path(leaf)?;
+        self.path_counts(leaf, e);
+        let path = self.store.read_path(leaf, &self.scratch_counts)?;
+        self.eo_counter.advance();
         for (bucket, &node) in path.iter().zip(&nodes) {
             for (slot_idx, slot) in bucket.slots().iter().enumerate() {
                 if slot.valid && self.vtree.get(node, slot_idx) {
@@ -535,42 +542,35 @@ impl<S: BucketStore> RawOram<S> {
             self.vtree.set_bucket(node, &self.scratch_bits);
         }
         self.note_stash();
-        let result = self.store.write_path(leaf, &self.scratch_path);
+        self.path_counts(leaf, e + 1);
+        let result = self
+            .store
+            .write_path(leaf, &self.scratch_path, &self.scratch_counts);
         timer.stop(); // record this eviction before deriving the suggestion
         self.update_suggested_a();
         result
     }
 
     /// Serializes the controller state — position map, stash, VTree image,
-    /// root EO counter, eviction cadence, operation counters, and pending
-    /// traces — into `w`. The backing store is encoded separately by the
-    /// caller (it owns the device image and bucket write counters).
+    /// root EO counter, eviction cadence, and repaired buckets — into `w`.
+    /// The backing store is encoded separately by the caller (it owns the
+    /// device image).
     pub fn encode_controller_state(&self, w: &mut ByteWriter) {
         w.put_u64(self.num_blocks);
         self.position.encode_state(w);
         self.stash.encode_state(w);
         self.vtree.encode_state(w);
         w.put_u64(self.eo_counter.get());
-        w.put_u32(self.ao_since_eo);
         w.put_u32(self.inserts_since_eo);
-        for v in [
-            self.counts.ao_accesses,
-            self.counts.dummy_accesses,
-            self.counts.eo_accesses,
-            self.counts.insertions,
-        ] {
-            w.put_u64(v);
-        }
-        w.put_u64s(&self.ao_trace);
-        w.put_u64s(&self.eo_trace);
+        let repaired: Vec<u64> = self.repaired.iter().flat_map(|(&n, &c)| [n, c]).collect();
+        w.put_u64s(&repaired);
     }
 
     /// Restores controller state captured by
     /// [`encode_controller_state`](Self::encode_controller_state) onto an
-    /// ORAM of the same shape. The root EO counter is restored verbatim; a
-    /// stale value would replay bucket nonces, which the AEAD layer then
-    /// rejects — this is the Merkle-free scheme's built-in rollback
-    /// detection.
+    /// ORAM of the same shape. The root EO counter is restored verbatim,
+    /// since it fixes every bucket's counter: reads at a stale count fail
+    /// authentication, and writes at one would reuse nonces.
     ///
     /// # Errors
     ///
@@ -583,58 +583,14 @@ impl<S: BucketStore> RawOram<S> {
         self.stash.decode_state(r)?;
         self.vtree.decode_state(r)?;
         self.eo_counter = RootCounter::from_count(r.get_u64()?);
-        self.ao_since_eo = r.get_u32()?;
         self.inserts_since_eo = r.get_u32()?;
-        self.counts = RawOramCounts {
-            ao_accesses: r.get_u64()?,
-            dummy_accesses: r.get_u64()?,
-            eo_accesses: r.get_u64()?,
-            insertions: r.get_u64()?,
-        };
-        self.ao_trace = r.get_u64s()?;
-        self.eo_trace = r.get_u64s()?;
+        let repaired = r.get_u64s()?;
+        let num_nodes = self.store.geometry().num_nodes();
+        if repaired.len() % 2 != 0 || repaired.chunks(2).any(|p| p[0] >= num_nodes) {
+            return Err(CodecError::Invalid("repaired bucket out of range"));
+        }
+        self.repaired = repaired.chunks(2).map(|p| (p[0], p[1])).collect();
         Ok(())
-    }
-
-    /// Vanilla RAW ORAM access (read, or write when `new_payload` is
-    /// given): AO-fetches the block, keeps it inside the ORAM (stash, with
-    /// a fresh leaf), and interleaves an EO access after every `A` AOs.
-    /// This is the mode the original design runs in, used by benches for
-    /// comparison.
-    ///
-    /// # Errors
-    ///
-    /// As for [`fetch`](Self::fetch) and [`insert`](Self::insert).
-    pub fn access<R: Rng>(
-        &mut self,
-        id: u64,
-        new_payload: Option<Vec<u8>>,
-        rng: &mut R,
-    ) -> Result<Vec<u8>, OramError> {
-        let mut block = self.fetch(id, rng)?;
-        let old = block.payload.clone();
-        if let Some(p) = new_payload {
-            let want = self.store.geometry().block_bytes();
-            if p.len() != want {
-                // Re-stash the block before surfacing the error so the
-                // ORAM invariant survives.
-                self.stash.push(block);
-                return Err(OramError::BadPayloadLength { got: p.len(), want });
-            }
-            block.payload = p;
-        }
-        let new_leaf = rng.gen_range(0..self.store.geometry().num_leaves());
-        self.position.set(id, new_leaf);
-        block.leaf = new_leaf;
-        self.stash.push(block);
-        self.note_stash();
-
-        self.ao_since_eo += 1;
-        if self.ao_since_eo >= self.config.eviction_period {
-            self.ao_since_eo = 0;
-            self.eo_access()?;
-        }
-        Ok(old)
     }
 
     /// Drains the stash by running EO accesses until it is empty or
@@ -651,32 +607,16 @@ impl<S: BucketStore> RawOram<S> {
         }
         Ok(n)
     }
-
-    /// Verifies the Merkle-free counter property: every bucket's write
-    /// count in the store equals the closed form derived from the root EO
-    /// counter alone. Test/debug helper (O(num_nodes)).
-    pub fn counters_match_schedule(&self) -> bool {
-        let geo = self.store.geometry();
-        for node in 0..geo.num_nodes() {
-            let (level, index) = geo.coords_of(node);
-            if self.store.write_count(node)
-                != self
-                    .schedule
-                    .writes_to_bucket(level, index, self.eo_counter.get())
-            {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::geometry::TreeGeometry;
-    use crate::store::DramBucketStore;
+    use crate::store::{DramBucketStore, SsdBucketStore};
     use fedora_crypto::aead::Key;
+    use fedora_storage::profile::SsdProfile;
+    use fedora_storage::AccessTraceRecorder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -692,6 +632,101 @@ mod tests {
             &mut rng,
         );
         (o, rng)
+    }
+
+    fn ssd_oram(blocks: u64, a: u32, seed: u64) -> (RawOram<SsdBucketStore>, StdRng) {
+        let geo = TreeGeometry::for_blocks(blocks, 16, 8);
+        let store = SsdBucketStore::new(geo, Key::from_bytes([2; 32]), SsdProfile::default());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let o = RawOram::new(
+            store,
+            blocks,
+            RawOramConfig { eviction_period: a },
+            |id| vec![id as u8; 16],
+            &mut rng,
+        );
+        (o, rng)
+    }
+
+    /// `before ⊕ after ⊕ empty`: the plaintext of `after`'s bucket when
+    /// both pages were sealed at one nonce and `before` held the empty
+    /// bucket.
+    fn xor_with_empty(before: &[u8], after: &[u8], geo: TreeGeometry) -> Vec<u8> {
+        let empty = Bucket::empty(geo.z(), geo.block_bytes()).to_bytes();
+        empty
+            .iter()
+            .zip(before.iter().zip(after))
+            .map(|(e, (b, a))| e ^ b ^ a)
+            .collect()
+    }
+
+    #[test]
+    fn bulk_load_seals_each_bucket_once() {
+        let geo = TreeGeometry::for_blocks(64, 16, 8);
+        let store = SsdBucketStore::new(geo, Key::from_bytes([2; 32]), SsdProfile::default());
+        let pages = |s: &SsdBucketStore| -> Vec<Vec<u8>> {
+            (0..geo.num_nodes())
+                .map(|n| s.ssd().snapshot_page(n * s.pages_per_bucket()).unwrap())
+                .collect()
+        };
+        let before = pages(&store);
+        let mut rng = StdRng::seed_from_u64(14);
+        let config = RawOramConfig { eviction_period: 4 };
+        let mut o = RawOram::new(store, 64, config, |id| vec![id as u8; 16], &mut rng);
+        let after = pages(o.store());
+        let mut occupied = 0;
+        for node in 0..geo.num_nodes() {
+            let bucket = o.read_bucket(node).unwrap();
+            if bucket.occupancy() > 0 {
+                occupied += 1;
+                let n = node as usize;
+                assert_ne!(
+                    xor_with_empty(&before[n], &after[n], geo),
+                    bucket.to_bytes(),
+                    "bucket {node} was sealed twice under one nonce"
+                );
+            }
+        }
+        assert!(occupied > 0);
+    }
+
+    #[test]
+    fn repair_seals_at_a_fresh_counter() {
+        let (mut o, mut rng) = ssd_oram(64, 4, 15);
+        for round in 0..20u64 {
+            let blocks: Vec<Block> = (0..8)
+                .map(|i| o.fetch((i * 7 + round) % 64, &mut rng).unwrap())
+                .collect();
+            for b in blocks {
+                o.insert(b.id, b.payload, &mut rng).unwrap();
+            }
+        }
+        let geo = o.store().geometry();
+        let node = (geo.num_nodes() - geo.num_leaves()..geo.num_nodes())
+            .find(|&n| o.read_bucket(n).unwrap().occupancy() > 0)
+            .expect("an occupied leaf bucket");
+        let old = o.read_bucket(node).unwrap().to_bytes();
+        let page = node * o.store().pages_per_bucket();
+        let pre_damage = o.store().ssd().snapshot_page(page).unwrap();
+        o.store_mut().ssd_mut().inject_bitflip(page, 3).unwrap();
+        assert!(o.read_bucket(node).is_err());
+        o.repair_bucket(node).unwrap();
+        assert!(o.store().quarantined_nodes().is_empty());
+        let repaired = o.store().ssd().snapshot_page(page).unwrap();
+        assert_ne!(xor_with_empty(&pre_damage, &repaired, geo), old);
+        // The pre-damage page is now one counter stale: a replay of it is
+        // a rollback, not a fresh bucket.
+        o.store_mut()
+            .ssd_mut()
+            .inject_rollback(page, &pre_damage)
+            .unwrap();
+        assert_eq!(
+            o.read_bucket(node),
+            Err(OramError::Integrity {
+                kind: IntegrityError::Rollback,
+                node
+            })
+        );
     }
 
     #[test]
@@ -768,31 +803,16 @@ mod tests {
     }
 
     #[test]
-    fn counters_match_schedule_always() {
+    fn tree_scrubs_clean_always() {
         let (mut o, mut rng) = oram(64, 4, 6);
-        assert!(o.counters_match_schedule(), "after init");
+        assert!(o.scrub().is_clean(), "after init");
         for id in 0..32u64 {
             let b = o.fetch(id, &mut rng).unwrap();
             o.insert(id, b.payload, &mut rng).unwrap();
         }
-        assert!(o.counters_match_schedule(), "after a round");
+        assert!(o.scrub().is_clean(), "after a round");
         o.flush(1000).unwrap();
-        assert!(o.counters_match_schedule(), "after flush");
-    }
-
-    #[test]
-    fn vanilla_access_mode() {
-        let (mut o, mut rng) = oram(32, 4, 7);
-        let old = o.access(5, Some(vec![0xEE; 16]), &mut rng).unwrap();
-        assert_eq!(old, vec![5u8; 16]);
-        let now = o.access(5, None, &mut rng).unwrap();
-        assert_eq!(now, vec![0xEE; 16]);
-        // EO interleaving: 2 AOs with A=4 → no EO yet.
-        assert_eq!(o.eo_count(), 0);
-        for i in 0..8u64 {
-            o.access(i % 32, None, &mut rng).unwrap();
-        }
-        assert!(o.eo_count() >= 2);
+        assert!(o.scrub().is_clean(), "after flush");
     }
 
     #[test]
@@ -810,13 +830,22 @@ mod tests {
 
     #[test]
     fn eo_trace_is_deterministic_schedule() {
-        let (mut o, mut rng) = oram(32, 1, 9);
+        let (mut o, mut rng) = ssd_oram(32, 1, 9);
+        let recorder = AccessTraceRecorder::new();
+        o.store_mut().set_access_recorder(recorder.clone());
         let blocks: Vec<Block> = (0..8).map(|id| o.fetch(id, &mut rng).unwrap()).collect();
         for b in blocks {
             o.insert(b.id, b.payload, &mut rng).unwrap();
         }
-        let trace = o.take_eo_trace();
-        let sched = o.schedule();
+        // EO accesses are the path reads the device sees written back.
+        let trace: Vec<u64> = o
+            .store()
+            .observed_paths(&recorder.take())
+            .into_iter()
+            .filter_map(|(leaf, written)| written.then_some(leaf))
+            .collect();
+        assert_eq!(trace.len(), 8);
+        let sched = EvictionSchedule::new(o.store().geometry().depth());
         let expected: Vec<u64> = (0..trace.len() as u64).map(|e| sched.leaf_for(e)).collect();
         assert_eq!(trace, expected, "EO leaves follow the public schedule");
     }
@@ -832,23 +861,18 @@ mod tests {
             o.insert(b.id, b.payload, &mut rng).unwrap();
         }
         let snap = registry.snapshot();
-        let counts = o.counts();
-        assert_eq!(snap.counter("oram.access.ao"), Some(counts.ao_accesses));
-        assert_eq!(
-            snap.counter("oram.access.dummy"),
-            Some(counts.dummy_accesses)
-        );
-        assert_eq!(
-            snap.counter("oram.eviction.count"),
-            Some(counts.eo_accesses)
-        );
-        assert_eq!(snap.counter("oram.insertions"), Some(counts.insertions));
+        // 8 fetches, 1 dummy, 8 insertions at A = 4: two evictions.
+        assert_eq!(o.eo_count(), 2);
+        assert_eq!(snap.counter("oram.access.ao"), Some(8));
+        assert_eq!(snap.counter("oram.access.dummy"), Some(1));
+        assert_eq!(snap.counter("oram.eviction.count"), Some(o.eo_count()));
+        assert_eq!(snap.counter("oram.insertions"), Some(8));
         // One latency sample per AO/dummy access, one per EO.
         let access = snap.histogram("oram.access.latency").expect("histogram");
-        assert_eq!(access.count, counts.ao_accesses + counts.dummy_accesses);
+        assert_eq!(access.count, 9);
         assert!(access.min <= access.p50 && access.p50 <= access.max);
         let evict = snap.histogram("oram.eviction.latency").expect("histogram");
-        assert_eq!(evict.count, counts.eo_accesses);
+        assert_eq!(evict.count, o.eo_count());
         // Stash gauges track occupancy; VTree and device traffic mirrored.
         assert_eq!(
             snap.gauge("oram.stash.high_water"),
@@ -920,7 +944,9 @@ mod tests {
             o.insert(id, a.payload.clone(), &mut rng).unwrap();
             o2.insert(id, b.payload, &mut rng2).unwrap();
         }
-        assert_eq!(o.counts(), o2.counts());
+        assert_eq!(o.eo_count(), o2.eo_count());
+        assert_eq!(o.stash_len(), o2.stash_len());
+        assert_eq!(o.stash_high_water(), o2.stash_high_water());
         assert_eq!(o.store().device_stats(), o2.store().device_stats());
     }
 

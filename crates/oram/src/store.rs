@@ -1,22 +1,23 @@
 //! Encrypted bucket stores over simulated devices.
 //!
 //! A [`BucketStore`] owns the untrusted memory holding an ORAM tree's
-//! buckets, encrypted with ChaCha20-Poly1305 under per-bucket write-counter
-//! nonces. Two backends exist:
+//! buckets, each sealed with ChaCha20-Poly1305 under the nonce
+//! `(node, count)` with the node id as associated data. Two backends exist:
 //!
 //! * [`SsdBucketStore`] — buckets padded onto whole 4-KiB pages of a
 //!   [`SimSsd`]; path reads/writes use batched page I/O (the device's
 //!   internal parallelism). This backs FEDORA's main ORAM.
 //! * [`DramBucketStore`] — buckets as byte ranges of a [`SimDram`]. This
-//!   backs the buffer ORAM and the VTree.
+//!   backs the buffer ORAM and the recursive position map.
 //!
-//! For the main ORAM the per-bucket write counters need not be stored: RAW
-//! ORAM writes buckets only during EO accesses in a predetermined order, so
-//! the counters are recomputable from the root EO counter
-//! ([`fedora_crypto::counter::EvictionSchedule`]). The store keeps a counter
-//! array as the *runtime representation* either way; an integration test
-//! asserts the array always matches the schedule's closed form for the RAW
-//! ORAM, which is what makes the paper's Merkle-free scheme sound.
+//! A store keeps no counters: the controller that owns the tree passes
+//! each bucket's counter with every read and write, and seals every bucket
+//! once, at counter 0, when it builds the tree (a fresh store holds no
+//! sealed bucket). [`RawOram`](crate::raw::RawOram) derives the main
+//! ORAM's counters from its eviction count — RAW ORAM writes buckets only
+//! in EO accesses, in a fixed order, so one root counter determines them
+//! all (paper §5.2) — and [`PathOram`](crate::path_oram::PathOram) keeps
+//! one counter per node.
 
 use std::collections::BTreeSet;
 
@@ -28,7 +29,8 @@ use fedora_storage::profile::{DramProfile, SsdProfile};
 use fedora_storage::ssd::SsdError;
 use fedora_storage::stats::DeviceStats;
 use fedora_storage::{
-    AccessTraceRecorder, ByteReader, ByteWriter, CodecError, DeviceTelemetry, SimDram, SimSsd,
+    AccessOp, AccessRecord, AccessTraceRecorder, ByteReader, ByteWriter, CodecError,
+    DeviceTelemetry, SimDram, SimSsd,
 };
 use fedora_telemetry::{Counter, Registry};
 
@@ -94,37 +96,50 @@ impl ScrubReport {
     }
 }
 
-/// Abstract encrypted bucket storage.
+/// Abstract encrypted bucket storage. Every read and write names the
+/// bucket's counter; the caller must never seal two different plaintexts
+/// at one `(node, count)`.
 pub trait BucketStore {
     /// The tree geometry this store was provisioned for.
     fn geometry(&self) -> TreeGeometry;
 
-    /// Reads and decrypts one bucket.
+    /// Reads and decrypts `node`'s bucket sealed at counter `count`.
     ///
     /// # Errors
     ///
     /// [`OramError::Integrity`] when authentication fails,
     /// [`OramError::Device`] on sizing bugs.
-    fn read_bucket(&mut self, node: u64) -> Result<Bucket, OramError>;
+    fn read_bucket(&mut self, node: u64, count: u64) -> Result<Bucket, OramError>;
 
-    /// Encrypts and writes one bucket, bumping its write counter.
+    /// Seals `bucket` at counter `count` and writes it to `node`.
     ///
     /// # Errors
     ///
     /// [`OramError::Device`] on sizing bugs.
-    fn write_bucket(&mut self, node: u64, bucket: &Bucket) -> Result<(), OramError>;
+    fn write_bucket(&mut self, node: u64, bucket: &Bucket, count: u64) -> Result<(), OramError>;
 
-    /// Reads the whole path to `leaf` (root first). Backends may batch.
+    /// Reads the whole path to `leaf` (root first), bucket `i` at
+    /// `counts[i]`. Backends may batch.
     ///
     /// # Errors
     ///
     /// As for [`read_bucket`](Self::read_bucket).
-    fn read_path(&mut self, leaf: u64) -> Result<Vec<Bucket>, OramError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counts.len() != depth + 1`.
+    fn read_path(&mut self, leaf: u64, counts: &[u64]) -> Result<Vec<Bucket>, OramError> {
         let nodes = self.geometry().path_nodes(leaf);
-        nodes.into_iter().map(|n| self.read_bucket(n)).collect()
+        assert_eq!(counts.len(), nodes.len(), "one counter per path level");
+        nodes
+            .into_iter()
+            .zip(counts)
+            .map(|(node, &count)| self.read_bucket(node, count))
+            .collect()
     }
 
-    /// Writes the whole path to `leaf` (root first). Backends may batch.
+    /// Writes the whole path to `leaf` (root first), bucket `i` sealed at
+    /// `counts[i]`. Backends may batch.
     ///
     /// # Errors
     ///
@@ -132,28 +147,21 @@ pub trait BucketStore {
     ///
     /// # Panics
     ///
-    /// Panics if `buckets.len() != depth + 1`.
-    fn write_path(&mut self, leaf: u64, buckets: &[Bucket]) -> Result<(), OramError> {
+    /// Panics if `buckets` or `counts` do not hold `depth + 1` entries.
+    fn write_path(
+        &mut self,
+        leaf: u64,
+        buckets: &[Bucket],
+        counts: &[u64],
+    ) -> Result<(), OramError> {
         let nodes = self.geometry().path_nodes(leaf);
         assert_eq!(buckets.len(), nodes.len(), "one bucket per path level");
-        for (node, bucket) in nodes.into_iter().zip(buckets) {
-            self.write_bucket(node, bucket)?;
+        assert_eq!(counts.len(), nodes.len(), "one counter per path level");
+        for ((node, bucket), &count) in nodes.into_iter().zip(buckets).zip(counts) {
+            self.write_bucket(node, bucket, count)?;
         }
         Ok(())
     }
-
-    /// Writes a bucket **without** bumping its write counter — used only
-    /// for bulk initialization (re-encrypts at the current counter). Unlike
-    /// [`write_bucket`](Self::write_bucket) this is not part of the runtime
-    /// protocol, so callers typically reset device statistics afterwards.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Device`] on sizing bugs.
-    fn load_bucket(&mut self, node: u64, bucket: &Bucket) -> Result<(), OramError>;
-
-    /// The number of times `node` has been written (its encryption counter).
-    fn write_count(&self, node: u64) -> u64;
 
     /// Device statistics of the backing store.
     fn device_stats(&self) -> DeviceStats;
@@ -182,34 +190,9 @@ pub trait BucketStore {
         Vec::new()
     }
 
-    /// Re-encrypts `node` as an *empty* bucket at its current counter and
-    /// clears any quarantine flag. Blocks previously resident in the bucket
-    /// are lost; callers must invalidate their mirrors (VTree) and expect
-    /// [`OramError::MissingBlock`] for the affected ids.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Device`] on sizing bugs.
-    fn repair_bucket(&mut self, node: u64) -> Result<(), OramError> {
-        let geo = self.geometry();
-        let empty = Bucket::empty(geo.z(), geo.block_bytes());
-        self.load_bucket(node, &empty)
-    }
-
-    /// Walks every bucket verifying its MAC (retrying recoverable faults)
-    /// and reports the ones that fail unrecoverably.
-    fn scrub(&mut self) -> ScrubReport {
-        let mut report = ScrubReport::default();
-        for node in 0..self.geometry().num_nodes() {
-            report.checked += 1;
-            match self.read_bucket(node) {
-                Ok(_) => report.healthy += 1,
-                Err(OramError::Integrity { kind, node: bad }) => report.failed.push((bad, kind)),
-                Err(_) => report.failed.push((node, IntegrityError::Corruption)),
-            }
-        }
-        report
-    }
+    /// Clears `node`'s quarantine flag once its controller has re-sealed
+    /// it. The default is a no-op for backends without quarantine.
+    fn clear_quarantine(&mut self, _node: u64) {}
 }
 
 /// Telemetry handles mirroring [`IntegrityStats`] into a registry.
@@ -273,13 +256,34 @@ fn decrypt_bucket(
     ))
 }
 
+/// Classifies a tag mismatch on `node`'s bucket read at `count`: bytes
+/// that authenticate at one of the `window` counters below `count` are a
+/// replayed stale page; anything else is corruption.
+fn classify(
+    aead: &ChaCha20Poly1305,
+    geometry: &TreeGeometry,
+    node: u64,
+    raw: &[u8],
+    count: u64,
+    window: u64,
+) -> IntegrityError {
+    let lo = count.saturating_sub(window);
+    if (lo..count)
+        .rev()
+        .any(|c| decrypt_bucket(aead, geometry, node, raw, c).is_some())
+    {
+        IntegrityError::Rollback
+    } else {
+        IntegrityError::Corruption
+    }
+}
+
 /// Bucket store over the simulated SSD (page-granular, batched I/O).
 #[derive(Clone, Debug)]
 pub struct SsdBucketStore {
     geometry: TreeGeometry,
     aead: ChaCha20Poly1305,
     ssd: SimSsd,
-    write_counts: Vec<u64>,
     pages_per_bucket: u64,
     retry_limit: u32,
     rollback_window: u64,
@@ -292,8 +296,8 @@ pub struct SsdBucketStore {
 }
 
 impl SsdBucketStore {
-    /// Provisions an SSD exactly large enough for the tree and encrypts an
-    /// empty tree into it. Initialization I/O is excluded from statistics.
+    /// Provisions a zero-filled SSD exactly large enough for the tree. The
+    /// controller that owns the tree seals every bucket when it builds it.
     ///
     /// # Panics
     ///
@@ -305,12 +309,10 @@ impl SsdBucketStore {
             "tree too large for simulation"
         );
         let pages_per_bucket = geometry.pages_per_bucket(profile.page_bytes);
-        let ssd = SimSsd::new(profile, geometry.num_nodes() * pages_per_bucket);
-        let mut store = SsdBucketStore {
+        SsdBucketStore {
             geometry,
             aead: ChaCha20Poly1305::new(&key),
-            ssd,
-            write_counts: vec![0; geometry.num_nodes() as usize],
+            ssd: SimSsd::new(profile, geometry.num_nodes() * pages_per_bucket),
             pages_per_bucket,
             retry_limit: DEFAULT_RETRY_LIMIT,
             rollback_window: DEFAULT_ROLLBACK_WINDOW,
@@ -319,17 +321,6 @@ impl SsdBucketStore {
             telemetry: IntegrityTelemetry::default(),
             pool: WorkerPool::serial(),
             scratch_pages: Vec::new(),
-        };
-        store.initialize_empty();
-        store.ssd.reset_stats();
-        store
-    }
-
-    #[allow(clippy::expect_used)] // pre-injector, device sized exactly for the tree
-    fn initialize_empty(&mut self) {
-        let empty = Bucket::empty(self.geometry.z(), self.geometry.block_bytes());
-        for node in 0..self.geometry.num_nodes() {
-            self.put(node, &empty, 0).expect("store sized for the tree");
         }
     }
 
@@ -355,6 +346,27 @@ impl SsdBucketStore {
     /// physical page number back to its tree node for trace analysis.
     pub fn pages_per_bucket(&self) -> u64 {
         self.pages_per_bucket
+    }
+
+    /// Splits a recorded page trace of this store into the path accesses
+    /// an adversary watching the device sees, as `(leaf, written)` pairs.
+    /// A path read is `depth + 1` buckets of page reads whose last bucket
+    /// is the leaf; it was written back (an EO access, or any Path ORAM
+    /// access) when the next `depth + 1` buckets are page writes. The
+    /// trace must hold whole path accesses only, with no retried reads.
+    pub fn observed_paths(&self, trace: &[AccessRecord]) -> Vec<(u64, bool)> {
+        let per_path = (self.geometry.num_levels() as u64 * self.pages_per_bucket) as usize;
+        let first_leaf = self.geometry.num_leaves() - 1;
+        let mut paths = Vec::new();
+        let mut rest = trace;
+        while rest.len() >= per_path {
+            let (read, tail) = rest.split_at(per_path);
+            let leaf = read[per_path - 1].page / self.pages_per_bucket - first_leaf;
+            let written = tail.first().is_some_and(|r| r.op == AccessOp::Write);
+            rest = if written { &tail[per_path..] } else { tail };
+            paths.push((leaf, written));
+        }
+        paths
     }
 
     /// Sets how many times a failed bucket read is retried before the
@@ -409,13 +421,13 @@ impl SsdBucketStore {
         node * self.pages_per_bucket
     }
 
-    /// Serializes the store's durable state — per-bucket write counters,
-    /// cumulative integrity statistics, the quarantine set, resilience
-    /// knobs, and the full SSD image — into `w` for checkpointing. The AEAD
-    /// key, telemetry handles, worker pool, and armed fault injector are not
-    /// persisted (recovery re-derives or re-arms them).
+    /// Serializes the store's durable state — cumulative integrity
+    /// statistics, the quarantine set, and the full SSD image — into `w`
+    /// for checkpointing. Bucket counters belong to the controller; the
+    /// AEAD key, resilience knobs, telemetry handles, worker pool, and
+    /// armed fault injector are not persisted (recovery re-derives,
+    /// reconfigures or re-arms them).
     pub fn encode_state(&self, w: &mut ByteWriter) {
-        w.put_u64s(&self.write_counts);
         let s = &self.integrity;
         for v in [
             s.detected_corruption,
@@ -428,8 +440,6 @@ impl SsdBucketStore {
         }
         let quarantined: Vec<u64> = self.quarantined.iter().copied().collect();
         w.put_u64s(&quarantined);
-        w.put_u32(self.retry_limit);
-        w.put_u64(self.rollback_window);
         self.ssd.encode_state(w);
     }
 
@@ -441,11 +451,6 @@ impl SsdBucketStore {
     ///
     /// [`CodecError`] on truncation or a geometry mismatch.
     pub fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        let write_counts = r.get_u64s()?;
-        if write_counts.len() != self.write_counts.len() {
-            return Err(CodecError::Invalid("bucket-store node-count mismatch"));
-        }
-        self.write_counts = write_counts;
         self.integrity = IntegrityStats {
             detected_corruption: r.get_u64()?,
             detected_rollback: r.get_u64()?,
@@ -458,8 +463,6 @@ impl SsdBucketStore {
             return Err(CodecError::Invalid("quarantined node out of range"));
         }
         self.quarantined = quarantined.into_iter().collect();
-        self.retry_limit = r.get_u32()?;
-        self.rollback_window = r.get_u64()?;
         self.ssd.decode_state(r)
     }
 
@@ -507,29 +510,17 @@ impl SsdBucketStore {
         }
     }
 
-    /// Decrypts `raw` as `node`'s bucket at an explicit counter.
-    fn decrypt_at(&self, node: u64, raw: &[u8], count: u64) -> Option<Bucket> {
-        decrypt_bucket(&self.aead, &self.geometry, node, raw, count)
-    }
-
-    /// Classifies a tag mismatch: if the bytes authenticate at a *recent
-    /// older* counter, a stale version was replayed (rollback); otherwise
-    /// the bytes are corrupt.
-    fn classify(&self, node: u64, raw: &[u8]) -> IntegrityError {
-        let count = self.write_counts[node as usize];
-        let lo = count.saturating_sub(self.rollback_window);
-        for c in (lo..count).rev() {
-            if self.decrypt_at(node, raw, c).is_some() {
-                return IntegrityError::Rollback;
-            }
-        }
-        IntegrityError::Corruption
-    }
-
-    /// Records a detection for one failed decrypt attempt and returns the
-    /// classified kind.
-    fn note_violation(&mut self, node: u64, raw: &[u8]) -> IntegrityError {
-        let kind = self.classify(node, raw);
+    /// Records a detection for one failed decrypt attempt at `count` and
+    /// returns the classified kind.
+    fn note_violation(&mut self, node: u64, raw: &[u8], count: u64) -> IntegrityError {
+        let kind = classify(
+            &self.aead,
+            &self.geometry,
+            node,
+            raw,
+            count,
+            self.rollback_window,
+        );
         match kind {
             IntegrityError::Rollback => {
                 self.integrity.detected_rollback += 1;
@@ -545,13 +536,14 @@ impl SsdBucketStore {
         kind
     }
 
-    /// Reads and decrypts `node`, retrying transient failures and
-    /// re-reading on tag mismatches (in-flight faults heal on re-read).
+    /// Reads and decrypts `node` at `count`, retrying transient failures
+    /// and re-reading on tag mismatches (in-flight faults heal on re-read).
     /// `failures` carries violations already observed by the caller (the
     /// batched path read) so the retry budget is shared.
     fn read_bucket_resilient(
         &mut self,
         node: u64,
+        count: u64,
         mut failures: u32,
         mut last_kind: IntegrityError,
     ) -> Result<Bucket, OramError> {
@@ -563,15 +555,16 @@ impl SsdBucketStore {
             match self.ssd.read_pages(&self.scratch_pages) {
                 Ok(raw_pages) => {
                     let raw: Vec<u8> = raw_pages.concat();
-                    let count = self.write_counts[node as usize];
-                    if let Some(bucket) = self.decrypt_at(node, &raw, count) {
+                    if let Some(bucket) =
+                        decrypt_bucket(&self.aead, &self.geometry, node, &raw, count)
+                    {
                         if failures > 0 {
                             self.integrity.recovered += 1;
                             self.telemetry.recovered.incr();
                         }
                         return Ok(bucket);
                     }
-                    last_kind = self.note_violation(node, &raw);
+                    last_kind = self.note_violation(node, &raw, count);
                     failures += 1;
                 }
                 Err(SsdError::Transient { .. }) => {
@@ -605,23 +598,22 @@ impl BucketStore for SsdBucketStore {
         self.geometry
     }
 
-    fn read_bucket(&mut self, node: u64) -> Result<Bucket, OramError> {
-        self.read_bucket_resilient(node, 0, IntegrityError::Corruption)
+    fn read_bucket(&mut self, node: u64, count: u64) -> Result<Bucket, OramError> {
+        self.read_bucket_resilient(node, count, 0, IntegrityError::Corruption)
     }
 
-    fn write_bucket(&mut self, node: u64, bucket: &Bucket) -> Result<(), OramError> {
-        let count = self.write_counts[node as usize] + 1;
-        self.write_counts[node as usize] = count;
+    fn write_bucket(&mut self, node: u64, bucket: &Bucket, count: u64) -> Result<(), OramError> {
         self.put(node, bucket, count)
     }
 
-    fn read_path(&mut self, leaf: u64) -> Result<Vec<Bucket>, OramError> {
+    fn read_path(&mut self, leaf: u64, counts: &[u64]) -> Result<Vec<Bucket>, OramError> {
         // One batched page read for the whole path: this is what lets the
         // SSD's internal parallelism hide per-page latency. Buckets that
         // fail the batch decrypt are re-read individually (in-flight
         // faults heal on re-read); a transient failure of the whole batch
         // falls back to per-bucket resilient reads.
         let nodes = self.geometry.path_nodes(leaf);
+        assert_eq!(counts.len(), nodes.len(), "one counter per path level");
         self.scratch_pages.clear();
         for &node in &nodes {
             let base = self.page_base(node);
@@ -635,7 +627,10 @@ impl BucketStore for SsdBucketStore {
                 self.telemetry.retries.incr();
                 return nodes
                     .iter()
-                    .map(|&node| self.read_bucket_resilient(node, 1, IntegrityError::Transient))
+                    .zip(counts)
+                    .map(|(&node, &count)| {
+                        self.read_bucket_resilient(node, count, 1, IntegrityError::Transient)
+                    })
                     .collect();
             }
             Err(_) => return Err(OramError::Device),
@@ -649,15 +644,12 @@ impl BucketStore for SsdBucketStore {
             let pool = self.pool;
             let aead = &self.aead;
             let geometry = &self.geometry;
-            let counts = &self.write_counts;
             pool.map_indices(nodes.len(), |i| {
-                let node = nodes[i];
-                let count = counts[node as usize];
                 if per == 1 {
-                    decrypt_bucket(aead, geometry, node, &raw_pages[i], count)
+                    decrypt_bucket(aead, geometry, nodes[i], &raw_pages[i], counts[i])
                 } else {
                     let raw = raw_pages[i * per..(i + 1) * per].concat();
-                    decrypt_bucket(aead, geometry, node, &raw, count)
+                    decrypt_bucket(aead, geometry, nodes[i], &raw, counts[i])
                 }
             })
         };
@@ -667,31 +659,28 @@ impl BucketStore for SsdBucketStore {
                 Some(bucket) => out.push(bucket),
                 None => {
                     let raw: Vec<u8> = raw_pages[i * per..(i + 1) * per].concat();
-                    let kind = self.note_violation(node, &raw);
-                    out.push(self.read_bucket_resilient(node, 1, kind)?);
+                    let kind = self.note_violation(node, &raw, counts[i]);
+                    out.push(self.read_bucket_resilient(node, counts[i], 1, kind)?);
                 }
             }
         }
         Ok(out)
     }
 
-    fn write_path(&mut self, leaf: u64, buckets: &[Bucket]) -> Result<(), OramError> {
+    fn write_path(
+        &mut self,
+        leaf: u64,
+        buckets: &[Bucket],
+        counts: &[u64],
+    ) -> Result<(), OramError> {
         let nodes = self.geometry.path_nodes(leaf);
         assert_eq!(buckets.len(), nodes.len(), "one bucket per path level");
+        assert_eq!(counts.len(), nodes.len(), "one counter per path level");
         let page_bytes = self.ssd.profile().page_bytes;
         let per = self.pages_per_bucket as usize;
-        // Counters are protocol state: bump them serially in node order.
-        // Each bucket's ciphertext then depends only on its own (node,
-        // counter) pair, so the AEAD work fans out over the pool while the
-        // device write below stays one batched call in node order.
-        let counts: Vec<u64> = nodes
-            .iter()
-            .map(|&node| {
-                let count = self.write_counts[node as usize] + 1;
-                self.write_counts[node as usize] = count;
-                count
-            })
-            .collect();
+        // Each bucket's ciphertext depends only on its own (node, counter)
+        // pair, so the AEAD work fans out over the pool while the device
+        // write below stays one batched call in node order.
         let ciphertexts: Vec<Vec<u8>> = {
             let pool = self.pool;
             let aead = &self.aead;
@@ -714,15 +703,6 @@ impl BucketStore for SsdBucketStore {
             }
         }
         self.write_pages_resilient(&writes, nodes[0])
-    }
-
-    fn load_bucket(&mut self, node: u64, bucket: &Bucket) -> Result<(), OramError> {
-        let count = self.write_counts[node as usize];
-        self.put(node, bucket, count)
-    }
-
-    fn write_count(&self, node: u64) -> u64 {
-        self.write_counts[node as usize]
     }
 
     fn device_stats(&self) -> DeviceStats {
@@ -749,11 +729,8 @@ impl BucketStore for SsdBucketStore {
         self.quarantined.iter().copied().collect()
     }
 
-    fn repair_bucket(&mut self, node: u64) -> Result<(), OramError> {
-        let empty = Bucket::empty(self.geometry.z(), self.geometry.block_bytes());
-        self.load_bucket(node, &empty)?;
+    fn clear_quarantine(&mut self, node: u64) {
         self.quarantined.remove(&node);
-        Ok(())
     }
 }
 
@@ -763,13 +740,12 @@ pub struct DramBucketStore {
     geometry: TreeGeometry,
     aead: ChaCha20Poly1305,
     dram: SimDram,
-    write_counts: Vec<u64>,
     stride: u64,
 }
 
 impl DramBucketStore {
-    /// Provisions DRAM for the tree and encrypts an empty tree into it.
-    /// Initialization traffic is excluded from statistics.
+    /// Provisions zero-filled DRAM for the tree. The controller that owns
+    /// the tree seals every bucket when it builds it.
     ///
     /// # Panics
     ///
@@ -780,20 +756,12 @@ impl DramBucketStore {
             "tree too large for simulation"
         );
         let stride = geometry.bucket_stored_bytes() as u64;
-        let dram = SimDram::new(profile, geometry.num_nodes() * stride);
-        let mut store = DramBucketStore {
+        DramBucketStore {
             geometry,
             aead: ChaCha20Poly1305::new(&key),
-            dram,
-            write_counts: vec![0; geometry.num_nodes() as usize],
+            dram: SimDram::new(profile, geometry.num_nodes() * stride),
             stride,
-        };
-        let empty = Bucket::empty(geometry.z(), geometry.block_bytes());
-        for node in 0..geometry.num_nodes() {
-            store.put(node, &empty, 0);
         }
-        store.dram.reset_stats();
-        store
     }
 
     /// Convenience constructor using the default DDR5-like profile.
@@ -806,11 +774,10 @@ impl DramBucketStore {
         &self.dram
     }
 
-    /// Serializes the store's state — write counters plus the encrypted
-    /// DRAM image and its statistics — into `w` for checkpointing. The AEAD
-    /// key is not persisted.
+    /// Serializes the store's state — the encrypted DRAM image and its
+    /// statistics — into `w` for checkpointing. The AEAD key is not
+    /// persisted.
     pub fn encode_state(&self, w: &mut ByteWriter) {
-        w.put_u64s(&self.write_counts);
         let (bytes, stats) = self.dram.snapshot_state();
         w.put_bytes(&bytes);
         for v in [
@@ -831,11 +798,6 @@ impl DramBucketStore {
     ///
     /// [`CodecError`] on truncation or a geometry mismatch.
     pub fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        let write_counts = r.get_u64s()?;
-        if write_counts.len() != self.write_counts.len() {
-            return Err(CodecError::Invalid("bucket-store node-count mismatch"));
-        }
-        self.write_counts = write_counts;
         let bytes = r.get_bytes()?;
         if bytes.len() as u64 != self.dram.capacity_bytes() {
             return Err(CodecError::Invalid("dram image length mismatch"));
@@ -851,17 +813,6 @@ impl DramBucketStore {
         self.dram.restore_state(bytes, stats);
         Ok(())
     }
-
-    #[allow(clippy::expect_used)] // DRAM sized for the tree at construction
-    fn put(&mut self, node: u64, bucket: &Bucket, count: u64) {
-        let plain = bucket.to_bytes();
-        let ct = self
-            .aead
-            .encrypt(&bucket_nonce(node, count), &plain, &bucket_aad(node));
-        self.dram
-            .write(node * self.stride, &ct)
-            .expect("store sized for the tree");
-    }
 }
 
 impl BucketStore for DramBucketStore {
@@ -869,55 +820,33 @@ impl BucketStore for DramBucketStore {
         self.geometry
     }
 
-    fn read_bucket(&mut self, node: u64) -> Result<Bucket, OramError> {
+    fn read_bucket(&mut self, node: u64, count: u64) -> Result<Bucket, OramError> {
         let mut raw = vec![0u8; self.stride as usize];
         self.dram
             .read(node * self.stride, &mut raw)
             .map_err(|_| OramError::Device)?;
-        let count = self.write_counts[node as usize];
-        match self
-            .aead
-            .decrypt(&bucket_nonce(node, count), &raw, &bucket_aad(node))
-        {
-            Ok(plain) => Ok(Bucket::from_bytes(
-                &plain,
-                self.geometry.z(),
-                self.geometry.block_bytes(),
-            )),
-            Err(_) => {
-                // Classify: bytes that authenticate at a recent older
-                // counter are a stale replay, not corruption.
-                let lo = count.saturating_sub(DEFAULT_ROLLBACK_WINDOW);
-                let stale = (lo..count).rev().any(|c| {
-                    self.aead
-                        .decrypt(&bucket_nonce(node, c), &raw, &bucket_aad(node))
-                        .is_ok()
-                });
-                let kind = if stale {
-                    IntegrityError::Rollback
-                } else {
-                    IntegrityError::Corruption
-                };
-                Err(OramError::Integrity { kind, node })
-            }
-        }
+        decrypt_bucket(&self.aead, &self.geometry, node, &raw, count).ok_or_else(|| {
+            let kind = classify(
+                &self.aead,
+                &self.geometry,
+                node,
+                &raw,
+                count,
+                DEFAULT_ROLLBACK_WINDOW,
+            );
+            OramError::Integrity { kind, node }
+        })
     }
 
-    fn write_bucket(&mut self, node: u64, bucket: &Bucket) -> Result<(), OramError> {
-        let count = self.write_counts[node as usize] + 1;
-        self.write_counts[node as usize] = count;
-        self.put(node, bucket, count);
-        Ok(())
-    }
-
-    fn load_bucket(&mut self, node: u64, bucket: &Bucket) -> Result<(), OramError> {
-        let count = self.write_counts[node as usize];
-        self.put(node, bucket, count);
-        Ok(())
-    }
-
-    fn write_count(&self, node: u64) -> u64 {
-        self.write_counts[node as usize]
+    fn write_bucket(&mut self, node: u64, bucket: &Bucket, count: u64) -> Result<(), OramError> {
+        let ct = self.aead.encrypt(
+            &bucket_nonce(node, count),
+            &bucket.to_bytes(),
+            &bucket_aad(node),
+        );
+        self.dram
+            .write(node * self.stride, &ct)
+            .map_err(|_| OramError::Device)
     }
 
     fn device_stats(&self) -> DeviceStats {
@@ -948,27 +877,30 @@ mod tests {
         Key::from_bytes([7u8; 32])
     }
 
+    fn empty_path() -> Vec<Bucket> {
+        vec![Bucket::empty(4, 32); 4]
+    }
+
     #[test]
     fn ssd_bucket_roundtrip() {
         let mut s = SsdBucketStore::new(geo(), key(), SsdProfile::default());
         let mut b = Bucket::empty(4, 32);
         b.try_insert(Block::new(11, 3, vec![0xCD; 32]));
-        s.write_bucket(5, &b).unwrap();
-        let got = s.read_bucket(5).unwrap();
-        assert_eq!(got, b);
-        // Other buckets still decrypt as empty.
-        assert_eq!(s.read_bucket(0).unwrap().occupancy(), 0);
+        s.write_bucket(5, &b, 1).unwrap();
+        assert_eq!(s.read_bucket(5, 1).unwrap(), b);
     }
 
     #[test]
     fn ssd_path_roundtrip_batched() {
         let mut s = SsdBucketStore::new(geo(), key(), SsdProfile::default());
         let leaf = 5;
-        let mut path = s.read_path(leaf).unwrap();
+        s.write_path(leaf, &empty_path(), &[0; 4]).unwrap();
+        s.reset_device_stats();
+        let mut path = s.read_path(leaf, &[0; 4]).unwrap();
         assert_eq!(path.len(), 4);
         path[2].try_insert(Block::new(9, leaf, vec![1u8; 32]));
-        s.write_path(leaf, &path).unwrap();
-        let again = s.read_path(leaf).unwrap();
+        s.write_path(leaf, &path, &[1; 4]).unwrap();
+        let again = s.read_path(leaf, &[1; 4]).unwrap();
         assert_eq!(again[2].occupancy(), 1);
         // Stats: two path reads + one path write of 4 pages each.
         let stats = s.device_stats();
@@ -983,31 +915,21 @@ mod tests {
     }
 
     #[test]
-    fn write_counts_advance() {
-        let mut s = SsdBucketStore::new(geo(), key(), SsdProfile::default());
-        assert_eq!(s.write_count(0), 0);
-        let b = Bucket::empty(4, 32);
-        s.write_bucket(0, &b).unwrap();
-        s.write_bucket(0, &b).unwrap();
-        assert_eq!(s.write_count(0), 2);
-        assert!(s.read_bucket(0).is_ok());
-    }
-
-    #[test]
     fn dram_bucket_roundtrip() {
         let mut s = DramBucketStore::with_default_dram(geo(), key());
         let mut b = Bucket::empty(4, 32);
         b.try_insert(Block::new(2, 1, vec![0xEE; 32]));
-        s.write_bucket(3, &b).unwrap();
-        assert_eq!(s.read_bucket(3).unwrap(), b);
+        s.write_bucket(3, &b, 1).unwrap();
+        assert_eq!(s.read_bucket(3, 1).unwrap(), b);
     }
 
     #[test]
     fn dram_default_path_ops() {
         let mut s = DramBucketStore::with_default_dram(geo(), key());
-        let path = s.read_path(2).unwrap();
+        s.write_path(2, &empty_path(), &[0; 4]).unwrap();
+        let path = s.read_path(2, &[0; 4]).unwrap();
         assert_eq!(path.len(), 4);
-        s.write_path(2, &path).unwrap();
+        s.write_path(2, &path, &[1; 4]).unwrap();
         assert!(s.device_stats().bytes_written > 0);
     }
 
@@ -1018,15 +940,15 @@ mod tests {
         let mut s = DramBucketStore::with_default_dram(geo(), key());
         let mut b = Bucket::empty(4, 32);
         b.try_insert(Block::new(1, 1, vec![1u8; 32]));
-        s.write_bucket(1, &b).unwrap();
+        s.write_bucket(1, &b, 1).unwrap();
         // Forge: copy node 1's ciphertext into node 2's slot (bypassing API).
         let stride = s.geometry().bucket_stored_bytes() as u64;
         let mut raw = vec![0u8; stride as usize];
         s.dram.read(stride, &mut raw).unwrap();
         s.dram.write(2 * stride, &raw).unwrap();
-        s.write_counts[2] = 1; // even matching the counter…
+        // …even read at the matching counter.
         assert_eq!(
-            s.read_bucket(2),
+            s.read_bucket(2, 1),
             Err(OramError::Integrity {
                 kind: IntegrityError::Corruption,
                 node: 2
@@ -1036,16 +958,14 @@ mod tests {
 
     #[test]
     fn stale_bucket_rejected() {
-        // Reading a bucket with an advanced counter (as after a lost write)
-        // fails authentication — freshness.
+        // Reading a bucket at an advanced counter (as after a lost write)
+        // fails authentication — freshness. The old ciphertext
+        // authenticates at its true (older) counter, so the classifier
+        // reports a rollback, not corruption.
         let mut s = DramBucketStore::with_default_dram(geo(), key());
-        let b = Bucket::empty(4, 32);
-        s.write_bucket(4, &b).unwrap();
-        s.write_counts[4] = 5; // simulate counter mismatch
-                               // The old ciphertext authenticates at its true (older) counter, so
-                               // the classifier reports a rollback, not corruption.
+        s.write_bucket(4, &Bucket::empty(4, 32), 1).unwrap();
         assert_eq!(
-            s.read_bucket(4),
+            s.read_bucket(4, 5),
             Err(OramError::Integrity {
                 kind: IntegrityError::Rollback,
                 node: 4
@@ -1058,7 +978,7 @@ mod tests {
         let mut s = SsdBucketStore::new(geo(), key(), SsdProfile::default());
         let mut b = Bucket::empty(4, 32);
         b.try_insert(Block::new(1, 1, vec![0x5A; 32]));
-        s.write_bucket(3, &b).unwrap();
+        s.write_bucket(3, &b, 1).unwrap();
         s.arm_faults(FaultConfig {
             bitflip_per_read: 1.0,
             ..FaultConfig::default()
@@ -1067,7 +987,7 @@ mod tests {
         // read keeps detecting violations; with the injector disarmed the
         // device bytes are intact and the read succeeds.
         let before = s.integrity_stats();
-        let err = s.read_bucket(3).unwrap_err();
+        let err = s.read_bucket(3, 1).unwrap_err();
         assert!(matches!(
             err,
             OramError::Integrity {
@@ -1082,8 +1002,8 @@ mod tests {
         );
         assert_eq!(s.quarantined_nodes(), vec![3]);
         s.disarm_faults();
-        assert_eq!(s.read_bucket(3).unwrap(), b);
-        s.repair_bucket(3).unwrap();
+        assert_eq!(s.read_bucket(3, 1).unwrap(), b);
+        s.clear_quarantine(3);
         assert!(s.quarantined_nodes().is_empty());
     }
 
@@ -1092,14 +1012,14 @@ mod tests {
         let mut s = SsdBucketStore::new(geo(), key(), SsdProfile::default());
         let mut b = Bucket::empty(4, 32);
         b.try_insert(Block::new(7, 2, vec![0x11; 32]));
-        s.write_bucket(6, &b).unwrap();
+        s.write_bucket(6, &b, 1).unwrap();
         s.arm_faults(FaultConfig {
             transient_per_read: 1.0,
             ..FaultConfig::default()
         });
         // The injector's one-shot cooldown means the in-loop retry
         // succeeds: the caller never sees the fault.
-        assert_eq!(s.read_bucket(6).unwrap(), b);
+        assert_eq!(s.read_bucket(6, 1).unwrap(), b);
         let stats = s.integrity_stats();
         assert_eq!(stats.transient_retries, 1);
         assert_eq!(stats.recovered, 1);
@@ -1111,11 +1031,11 @@ mod tests {
         let mut s = SsdBucketStore::new(geo(), key(), SsdProfile::default());
         let b = Bucket::empty(4, 32);
         // Write twice so a pre-image at counter 1 exists, then replay it.
-        s.write_bucket(2, &b).unwrap();
+        s.write_bucket(2, &b, 1).unwrap();
         let stale = s.ssd.snapshot_page(s.page_base(2)).unwrap();
-        s.write_bucket(2, &b).unwrap();
+        s.write_bucket(2, &b, 2).unwrap();
         s.ssd.inject_rollback(s.page_base(2), &stale).unwrap();
-        let err = s.read_bucket(2).unwrap_err();
+        let err = s.read_bucket(2, 2).unwrap_err();
         assert!(matches!(
             err,
             OramError::Integrity {
@@ -1134,12 +1054,12 @@ mod tests {
         s.set_telemetry(&registry);
         let mut b = Bucket::empty(4, 32);
         b.try_insert(Block::new(7, 2, vec![0x11; 32]));
-        s.write_bucket(6, &b).unwrap();
+        s.write_bucket(6, &b, 1).unwrap();
         s.arm_faults(FaultConfig {
             transient_per_read: 1.0,
             ..FaultConfig::default()
         });
-        assert_eq!(s.read_bucket(6).unwrap(), b);
+        assert_eq!(s.read_bucket(6, 1).unwrap(), b);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("integrity.retries"), Some(1));
         assert_eq!(snap.counter("integrity.recovered"), Some(1));
@@ -1155,8 +1075,9 @@ mod tests {
         let mut s = SsdBucketStore::new(geo(), key(), SsdProfile::default());
         s.set_telemetry(&registry);
         s.set_retry_limit(1);
+        s.write_bucket(5, &Bucket::empty(4, 32), 0).unwrap();
         s.ssd.inject_bitflip(s.page_base(5), 3).unwrap();
-        assert!(s.read_bucket(5).is_err());
+        assert!(s.read_bucket(5, 0).is_err());
         let snap = registry.snapshot();
         assert_eq!(snap.counter("integrity.quarantined"), Some(1));
         assert!(snap.counter("integrity.retries").unwrap_or(0) >= 1);
@@ -1175,13 +1096,14 @@ mod tests {
     fn persistent_bitflip_after_clean_read_fails_next_path_read() {
         let mut s = SsdBucketStore::new(geo(), key(), SsdProfile::default());
         s.set_retry_limit(1);
+        s.write_path(5, &empty_path(), &[0; 4]).unwrap();
         // A clean batched read of leaf 5's path (including the root)…
-        s.read_path(5).unwrap();
+        s.read_path(5, &[0; 4]).unwrap();
         // …then corrupt the root bucket's device bytes. Every path read
         // authenticates device bytes, so the next one must fail.
         s.ssd_mut().inject_bitflip(0, 3).unwrap();
         assert!(matches!(
-            s.read_path(5),
+            s.read_path(5, &[0; 4]),
             Err(OramError::Integrity {
                 kind: IntegrityError::Corruption,
                 node: 0
@@ -1191,19 +1113,28 @@ mod tests {
 
     #[test]
     fn scrub_reports_persistent_corruption() {
-        let mut s = SsdBucketStore::new(geo(), key(), SsdProfile::default());
-        s.set_retry_limit(1);
+        use crate::raw::{RawOram, RawOramConfig};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        // Scrub and repair need each bucket's counter, so they run through
+        // the controller that owns the tree.
+        let mut store = SsdBucketStore::new(geo(), key(), SsdProfile::default());
+        store.set_retry_limit(1);
+        let mut rng = StdRng::seed_from_u64(1);
+        let config = RawOramConfig::default();
+        let mut o = RawOram::new(store, 8, config, |_| vec![0u8; 32], &mut rng);
         // Flip a stored bit of bucket 5 on the device itself (persistent).
-        s.ssd.inject_bitflip(s.page_base(5), 3).unwrap();
-        let report = s.scrub();
-        assert_eq!(report.checked, s.geometry().num_nodes());
+        let page = o.store().page_base(5);
+        o.store_mut().ssd_mut().inject_bitflip(page, 3).unwrap();
+        let report = o.scrub();
+        assert_eq!(report.checked, geo().num_nodes());
         assert_eq!(report.healthy, report.checked - 1);
         assert_eq!(report.failed, vec![(5, IntegrityError::Corruption)]);
         assert!(!report.is_clean());
-        // Repair re-encrypts an empty bucket: the tree scrubs clean again.
-        s.repair_bucket(5).unwrap();
-        let report = s.scrub();
-        assert!(report.is_clean());
-        assert_eq!(s.read_bucket(5).unwrap().occupancy(), 0);
+        // Repair re-seals an empty bucket: the tree scrubs clean again.
+        o.repair_bucket(5).unwrap();
+        assert!(o.scrub().is_clean());
+        assert_eq!(o.read_bucket(5).unwrap().occupancy(), 0);
     }
 }

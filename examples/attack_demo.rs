@@ -14,8 +14,10 @@ use fedora::adversary::{count_attack, dp_success_bound, frequency_attack, trace_
 use fedora_crypto::aead::Key;
 use fedora_fdp::{FdpMechanism, YShape};
 use fedora_oram::raw::{RawOram, RawOramConfig};
-use fedora_oram::store::DramBucketStore;
+use fedora_oram::store::SsdBucketStore;
 use fedora_oram::TreeGeometry;
+use fedora_storage::profile::SsdProfile;
+use fedora_storage::AccessTraceRecorder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -48,7 +50,7 @@ fn main() {
 
     // --- 2. The same workload through FEDORA's main ORAM. ---
     let geo = TreeGeometry::for_blocks(TABLE, 16, 8);
-    let store = DramBucketStore::with_default_dram(geo, Key::from_bytes([9; 32]));
+    let store = SsdBucketStore::new(geo, Key::from_bytes([9; 32]), SsdProfile::default());
     let mut oram = RawOram::new(
         store,
         TABLE,
@@ -58,11 +60,20 @@ fn main() {
         |_| vec![0u8; 16],
         &mut rng,
     );
+    let recorder = AccessTraceRecorder::new();
+    oram.store_mut().set_access_recorder(recorder.clone());
     for &id in &accesses {
         let blk = oram.fetch(id, &mut rng).expect("fetch");
         oram.insert(id, blk.payload, &mut rng).expect("insert");
     }
-    let leaves = oram.take_ao_trace();
+    // The device sees each fetch as a path read that is never written
+    // back (evictions write theirs); its last bucket is the leaf.
+    let leaves: Vec<u64> = oram
+        .store()
+        .observed_paths(&recorder.take())
+        .into_iter()
+        .filter_map(|(leaf, written)| (!written).then_some(leaf))
+        .collect();
     let recovered = trace_attack(&leaves, &hot);
     println!("2. Through FEDORA's main ORAM (adversary sees path leaves):");
     println!(

@@ -173,7 +173,7 @@ fn transactional_abort_then_resume_no_partial_state() {
     // The very round that aborted succeeds on retry.
     run_round(&mut s, &mut rng, 2).unwrap();
     assert_eq!(s.committed_rounds(), 3);
-    assert!(s.main_oram().counters_match_schedule());
+    assert!(s.scrub().unwrap().is_clean());
 }
 
 #[test]

@@ -212,7 +212,7 @@ fn merkle_free_counters_hold_across_many_rounds() {
         fed.end_round(&mut mode, 1.0, &mut rng).expect("end");
     }
     assert!(
-        fed.main_oram().counters_match_schedule(),
-        "every bucket's write counter must be derivable from the root EO counter"
+        fed.scrub().expect("scrub").is_clean(),
+        "every bucket must authenticate at the counter its EO count derives"
     );
 }

@@ -5,7 +5,13 @@ use std::collections::HashSet;
 
 use fedora::config::{FedoraConfig, PrivacyConfig, TableSpec};
 use fedora::server::FedoraServer;
+use fedora_crypto::aead::Key;
 use fedora_fl::modes::FedAvg;
+use fedora_oram::raw::{RawOram, RawOramConfig};
+use fedora_oram::store::SsdBucketStore;
+use fedora_oram::TreeGeometry;
+use fedora_storage::profile::SsdProfile;
+use fedora_storage::AccessTraceRecorder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -107,39 +113,47 @@ fn vanilla_oram_hides_duplicate_structure() {
     assert_eq!(k_same, 32);
 }
 
+/// A RAW ORAM over 256 blocks on the simulated SSD, with a recorder on the
+/// device: the adversary's view.
+fn recorded_raw_oram(a: u32, seed: u64) -> (RawOram<SsdBucketStore>, AccessTraceRecorder, StdRng) {
+    let geo = TreeGeometry::for_blocks(256, 16, 8);
+    let store = SsdBucketStore::new(geo, Key::from_bytes([1; 32]), SsdProfile::default());
+    let mut rng = StdRng::seed_from_u64(seed);
+    let config = RawOramConfig { eviction_period: a };
+    let mut oram = RawOram::new(store, 256, config, |_| vec![0u8; 16], &mut rng);
+    let recorder = AccessTraceRecorder::new();
+    oram.store_mut().set_access_recorder(recorder.clone());
+    (oram, recorder, rng)
+}
+
+/// The leaves of the AO path reads in `recorder`'s trace: the path reads
+/// the device never sees written back.
+fn ao_leaves(oram: &RawOram<SsdBucketStore>, recorder: &AccessTraceRecorder) -> Vec<u64> {
+    oram.store()
+        .observed_paths(&recorder.take())
+        .into_iter()
+        .filter_map(|(leaf, written)| (!written).then_some(leaf))
+        .collect()
+}
+
 /// The AO trace (path leaves read from the SSD) is indistinguishable
 /// between a skewed workload and a uniform one: each fetched block's leaf
 /// is an independent uniform sample by the position-map invariant.
 #[test]
 fn ao_trace_is_uniform_regardless_of_workload() {
-    use fedora_crypto::aead::Key;
-    use fedora_oram::raw::{RawOram, RawOramConfig};
-    use fedora_oram::store::DramBucketStore;
-    use fedora_oram::TreeGeometry;
-
     let collect_trace = |skewed: bool, seed: u64| -> Vec<u64> {
-        let geo = TreeGeometry::for_blocks(256, 16, 8);
-        let store = DramBucketStore::with_default_dram(geo, Key::from_bytes([1; 32]));
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut oram = RawOram::new(
-            store,
-            256,
-            RawOramConfig { eviction_period: 8 },
-            |_| vec![0u8; 16],
-            &mut rng,
-        );
+        let (mut oram, recorder, mut rng) = recorded_raw_oram(8, seed);
         for i in 0..2000u64 {
             let id = if skewed { i % 4 } else { rng.gen_range(0..256) };
             let blk = oram.fetch(id, &mut rng).expect("fetch");
             oram.insert(id, blk.payload, &mut rng).expect("insert");
         }
-        oram.take_ao_trace()
+        ao_leaves(&oram, &recorder)
     };
 
-    let leaves = TABLE; // not used; compute from geometry below
-    let _ = leaves;
     let trace_skewed = collect_trace(true, 10);
     let trace_uniform = collect_trace(false, 11);
+    assert_eq!(trace_skewed.len(), 2000);
     let num_leaves = 64u64; // for_blocks(256, _, 8): 2*256/8 = 64 leaves
     let histo = |t: &[u64]| {
         let mut h = vec![0f64; num_leaves as usize];
@@ -171,29 +185,12 @@ fn ao_trace_is_uniform_regardless_of_workload() {
 /// across rounds.
 #[test]
 fn repeated_access_paths_are_unlinkable() {
-    use fedora_crypto::aead::Key;
-    use fedora_oram::raw::{RawOram, RawOramConfig};
-    use fedora_oram::store::DramBucketStore;
-    use fedora_oram::TreeGeometry;
-
-    let geo = TreeGeometry::for_blocks(256, 16, 8);
-    let store = DramBucketStore::with_default_dram(geo, Key::from_bytes([2; 32]));
-    let mut rng = StdRng::seed_from_u64(12);
-    let mut oram = RawOram::new(
-        store,
-        256,
-        RawOramConfig { eviction_period: 4 },
-        |_| vec![0u8; 16],
-        &mut rng,
-    );
-    let mut seen = HashSet::new();
+    let (mut oram, recorder, mut rng) = recorded_raw_oram(4, 12);
     for _ in 0..200 {
         let blk = oram.fetch(42, &mut rng).expect("fetch");
         oram.insert(42, blk.payload, &mut rng).expect("insert");
     }
-    for leaf in oram.take_ao_trace() {
-        seen.insert(leaf);
-    }
+    let seen: HashSet<u64> = ao_leaves(&oram, &recorder).into_iter().collect();
     // 200 accesses over 64 leaves: a linkable (fixed-leaf) pattern would
     // produce 1 distinct leaf; uniform remapping produces most of them.
     assert!(
