@@ -87,21 +87,6 @@ impl TableSpec {
     }
 }
 
-/// Which entries to read when the mechanism picks `k < k_union` (§4.2:
-/// "FEDORA has the liberty to choose which k entries to read").
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SelectionStrategy {
-    /// The first `k` entries in union order — the paper prototype's choice.
-    #[default]
-    FirstK,
-    /// A uniformly random `k`-subset.
-    Random,
-    /// The `k` entries with the most requests this round (obliviously
-    /// sorted by the union's per-entry counts), minimizing the number of
-    /// *requests* that go unserved.
-    PopularFirst,
-}
-
 /// The privacy configuration of a FEDORA deployment.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PrivacyConfig {
@@ -215,7 +200,7 @@ pub struct WatchConfig {
     pub alarm_on_empirical: bool,
     /// Continuous empirical-ε refresh: every N committed rounds the server
     /// pairs the two most recent live shadow traces (captured via an
-    /// internally attached [`crate::audit::AccessTraceRecorder`]), feeds
+    /// internally attached [`fedora_storage::AccessTraceRecorder`]), feeds
     /// them to the running [`crate::audit::empirical::EpsilonEstimator`],
     /// and republishes the `fdp.empirical.*` gauges — no on-demand twin
     /// replay. 0 disables the refresher (no recorder is attached, no
@@ -264,18 +249,18 @@ impl WatchConfig {
     }
 }
 
-/// How many worker threads the round pipeline may use.
+/// How many worker threads seal and open the main ORAM's buckets.
 ///
-/// Parallelism never changes *what* the pipeline computes, only how many
-/// cores compute it: work is partitioned statically by index (see
-/// [`fedora_par::WorkerPool`]) and merged in index order, so any thread
-/// count produces bit-identical gradients, round reports (modulo latency),
-/// and canonical access traces. The default of 1 runs the exact serial
-/// code path — no threads are spawned at all.
+/// It drives one mechanism: the main store fans a path's per-bucket AEAD
+/// out over a [`fedora_par::WorkerPool`] of this many threads, set once
+/// when the server is built. Work is partitioned statically by bucket and
+/// merged in path order, so any thread count produces bit-identical
+/// device bytes, round reports (modulo latency) and access traces. The
+/// default of 1 runs the serial code path — no threads are spawned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ParallelismConfig {
-    /// Worker threads for client training, shard fan-out, and bucket
-    /// crypto (0 is clamped to 1).
+    /// Worker threads for the main store's bucket crypto (0 is clamped
+    /// to 1).
     pub threads: usize,
 }
 
@@ -286,21 +271,11 @@ impl Default for ParallelismConfig {
 }
 
 impl ParallelismConfig {
-    /// The serial default.
-    pub fn serial() -> Self {
-        ParallelismConfig::default()
-    }
-
     /// `threads` workers (0 clamps to 1).
     pub fn with_threads(threads: usize) -> Self {
         ParallelismConfig {
             threads: threads.max(1),
         }
-    }
-
-    /// The worker pool this configuration describes.
-    pub fn pool(&self) -> fedora_par::WorkerPool {
-        fedora_par::WorkerPool::new(self.threads)
     }
 }
 
@@ -313,8 +288,6 @@ pub struct FaultToleranceConfig {
     pub transactional: bool,
     /// Bucket-read retries before quarantining (0 = fail immediately).
     pub max_read_retries: u32,
-    /// Older counters probed when classifying rollback vs corruption.
-    pub rollback_window: u64,
 }
 
 impl Default for FaultToleranceConfig {
@@ -322,7 +295,6 @@ impl Default for FaultToleranceConfig {
         FaultToleranceConfig {
             transactional: false,
             max_read_retries: fedora_oram::store::DEFAULT_RETRY_LIMIT,
-            rollback_window: fedora_oram::store::DEFAULT_ROLLBACK_WINDOW,
         }
     }
 }
@@ -356,13 +328,12 @@ pub struct FedoraConfig {
     /// TEE scratchpad (None-equivalent: `Scratchpad::none()` for the
     /// Fig. 10 ablation).
     pub scratchpad: Scratchpad,
-    /// Entry-selection strategy for lossy rounds.
-    pub selection: SelectionStrategy,
     /// Fault-tolerance policy (round transactions, retry budget).
     pub fault_tolerance: FaultToleranceConfig,
     /// Cumulative ε-budget alarm/enforcement (off by default).
     pub privacy_budget: PrivacyBudgetConfig,
-    /// Worker-thread budget for the round pipeline (serial by default).
+    /// Worker threads for the main store's bucket crypto (serial by
+    /// default).
     pub parallelism: ParallelismConfig,
     /// Live privacy/SLO watch plane (off by default).
     pub watch: WatchConfig,
@@ -388,7 +359,6 @@ impl FedoraConfig {
             max_requests_per_round,
             ssd: SsdProfile::pm9a1_like(),
             scratchpad: Scratchpad::paper_default(),
-            selection: SelectionStrategy::FirstK,
             fault_tolerance: FaultToleranceConfig::default(),
             privacy_budget: PrivacyBudgetConfig::default(),
             parallelism: ParallelismConfig::default(),
@@ -408,7 +378,6 @@ impl FedoraConfig {
             max_requests_per_round,
             ssd: SsdProfile::pm9a1_like(),
             scratchpad: Scratchpad::paper_default(),
-            selection: SelectionStrategy::FirstK,
             fault_tolerance: FaultToleranceConfig::default(),
             privacy_budget: PrivacyBudgetConfig::default(),
             parallelism: ParallelismConfig::default(),

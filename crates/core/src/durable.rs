@@ -43,8 +43,9 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"FDCK";
 /// Checkpoint frame format version. v2 added the aggregation-mode
 /// optimizer state to the body; v3 drops the bucket write counters,
 /// access traces and operation counts and adds the main ORAM's
-/// repaired-bucket map.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// repaired-bucket map; v4 drops the position maps' access counter and
+/// oblivious-mode flag, so each map is its leaf array alone.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Journal file name inside a state directory.
 const JOURNAL_FILE: &str = "journal.log";

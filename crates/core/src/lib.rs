@@ -42,8 +42,6 @@
 //! * [`adversary`] — attack simulations: frequency analysis against
 //!   unprotected lookups (wins), against ORAM traces (chance), and the
 //!   optimal access-count distinguisher vs its DP bound.
-//! * [`multi`] — multiple private tables (one pipeline per sparse
-//!   feature), composing in parallel per feature value.
 //! * [`audit`] — the obliviousness auditor: shadow-mode page-trace
 //!   capture plus a twin-run harness checking the configured privacy
 //!   claim against the physical access sequence.
@@ -89,7 +87,6 @@ pub mod config;
 pub mod cost;
 pub mod durable;
 pub mod latency;
-pub mod multi;
 pub mod server;
 pub mod training;
 

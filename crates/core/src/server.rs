@@ -21,7 +21,7 @@ use fedora_telemetry::{
 use rand::Rng;
 
 use crate::audit::empirical::{value_distance, EpsilonEstimate, EpsilonEstimator};
-use crate::config::{FedoraConfig, SelectionStrategy};
+use crate::config::FedoraConfig;
 use crate::durable::{
     self, CheckpointStats, CrashPoint, DurableError, DurableState, FaultPlan, JournalRecord,
 };
@@ -538,7 +538,7 @@ pub struct FedoraServer {
 
 /// One sample of the live privacy/SLO watch plane: interval health over
 /// the last `window_rounds` committed rounds, evaluated against the
-/// thresholds in [`WatchConfig`].
+/// thresholds in [`WatchConfig`](crate::config::WatchConfig).
 ///
 /// The report deliberately carries only public series (round latency,
 /// shed ratio, cumulative ε from the accountant) plus the empirical-ε
@@ -629,7 +629,6 @@ impl FedoraServer {
         let mut store =
             SsdBucketStore::new(config.geometry, key.derive_subkey("main-oram"), config.ssd);
         store.set_retry_limit(config.fault_tolerance.max_read_retries);
-        store.set_rollback_window(config.fault_tolerance.rollback_window);
         store.set_threads(config.parallelism.threads);
         let mut main = RawOram::new(store, config.table.num_entries, config.raw, init, rng);
         main.set_telemetry(&registry);
@@ -801,14 +800,6 @@ impl FedoraServer {
     /// [`WatchConfig::empirical_every_rounds`]: crate::config::WatchConfig::empirical_every_rounds
     pub fn set_access_recorder(&mut self, recorder: AccessTraceRecorder) {
         self.main.store_mut().set_access_recorder(recorder);
-    }
-
-    /// Changes the worker-thread count for the main ORAM's bulk path
-    /// crypto. Thread count never changes results or the physical access
-    /// trace — only host wall-clock time.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.config.parallelism = crate::config::ParallelismConfig::with_threads(threads);
-        self.main.set_threads(threads);
     }
 
     /// Arms seeded fault injection on the main ORAM's SSD.
@@ -1402,8 +1393,8 @@ impl FedoraServer {
             let k_union = union.len_real();
             state.report.k_union += k_union;
 
-            // ②–③ below are one timed fetch interval: FDP sampling,
-            // candidate ordering, and the main-ORAM / buffer accesses.
+            // ②–③ below are one timed fetch interval: FDP sampling and
+            // the main-ORAM / buffer accesses.
             let fetch_started = Instant::now();
             // ② ε-FDP choice of k.
             let k = self
@@ -1413,11 +1404,12 @@ impl FedoraServer {
                 .sample_k(k_union as u64, chunk.len() as u64, rng) as usize;
             state.report.k_accesses += k;
 
-            // ③ Read phase: pick which entries to read per the configured
-            // strategy (§4.2), then fetch the first `k` of that ordering.
-            let ordered = Self::order_candidates(&union, self.config.selection, rng);
+            // ③ Read phase: §4.2 leaves the choice of which `k` entries to
+            // read open; like the paper's prototype, read the first `k`
+            // in union (first-seen) order.
+            let candidates = union.real_entries();
             let to_fetch = k.min(k_union);
-            for &id in &ordered[..to_fetch] {
+            for &id in &candidates[..to_fetch] {
                 if self.buffer.is_loaded(id) {
                     // Cross-chunk duplicate: the entry already left the
                     // main ORAM this round. The access still happens (same
@@ -1450,7 +1442,7 @@ impl FedoraServer {
                 self.note_read_access()?;
             }
             // Lost entries (k < k_union): not read this round.
-            for &id in &ordered[to_fetch..] {
+            for &id in &candidates[to_fetch..] {
                 state.report.lost += 1;
                 state.lost_ids.insert(id);
             }
@@ -1519,35 +1511,6 @@ impl FedoraServer {
             report: state.report,
         });
         FedoraError::RoundAborted { kind, node }
-    }
-
-    /// Orders the union's entries per the selection strategy. Runs inside
-    /// the secure controller; the popularity ordering uses the oblivious
-    /// bitonic network over the union's per-entry counts.
-    fn order_candidates<R: Rng>(
-        union: &fedora_oblivious::UnionSet,
-        strategy: SelectionStrategy,
-        rng: &mut R,
-    ) -> Vec<u64> {
-        match strategy {
-            SelectionStrategy::FirstK => union.real_entries().to_vec(),
-            SelectionStrategy::Random => {
-                use rand::seq::SliceRandom;
-                let mut ids = union.real_entries().to_vec();
-                ids.shuffle(rng);
-                ids
-            }
-            SelectionStrategy::PopularFirst => {
-                // Sort descending by count with the data-independent
-                // bitonic network: key = MAX − count.
-                let mut pairs: Vec<(u64, u64)> = union
-                    .real_entries_with_counts()
-                    .map(|(id, count)| (u64::MAX - count, id))
-                    .collect();
-                fedora_oblivious::sort::bitonic_sort_pairs(&mut pairs);
-                pairs.into_iter().map(|(_, id)| id).collect()
-            }
-        }
     }
 
     /// Step ④: serves one user request from the buffer ORAM. Returns
@@ -2182,64 +2145,6 @@ mod tests {
         assert!(!s.aggregate(&mode, 20, &[1.0; 8], 1, &mut rng).unwrap());
         let mut mode = FedAvg;
         s.end_round(&mut mode, 1.0, &mut rng).unwrap();
-    }
-
-    #[test]
-    fn popular_first_minimizes_lost_requests() {
-        // Force k = 2 < k_union = 4 with a zero-epsilon point mass at 2,
-        // and compare strategies on a skewed request stream.
-        let requests = [9u64, 9, 9, 9, 9, 1, 2, 3]; // entry 9 dominates
-        let run = |strategy: crate::config::SelectionStrategy, seed: u64| -> bool {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut config = FedoraConfig::for_testing(TableSpec::tiny(64), 16);
-            config.privacy.mechanism = fedora_fdp::FdpMechanism::new(
-                0.0,
-                fedora_fdp::YShape::Custom(vec![0.0, 1.0]), // always k = 2
-            )
-            .unwrap();
-            config.selection = strategy;
-            let mut s = FedoraServer::new(config, |id| vec![id as u8; 32], &mut rng);
-            s.begin_round(&requests, &mut rng).unwrap();
-            // Was the hot entry (9) served?
-            let served = s.serve(9, &mut rng).unwrap().is_some();
-            let mut mode = FedAvg;
-            s.end_round(&mut mode, 1.0, &mut rng).unwrap();
-            served
-        };
-        // PopularFirst always keeps the hot entry.
-        assert!(run(crate::config::SelectionStrategy::PopularFirst, 1));
-        assert!(run(crate::config::SelectionStrategy::PopularFirst, 2));
-        // FirstK keeps union order: 9 appears first here, so rotate the
-        // stream so 9 comes last in first-seen order.
-        let _ = run(crate::config::SelectionStrategy::FirstK, 3);
-    }
-
-    #[test]
-    fn selection_strategies_preserve_correctness() {
-        for strategy in [
-            crate::config::SelectionStrategy::FirstK,
-            crate::config::SelectionStrategy::Random,
-            crate::config::SelectionStrategy::PopularFirst,
-        ] {
-            let mut rng = StdRng::seed_from_u64(77);
-            let mut config = FedoraConfig::for_testing(TableSpec::tiny(128), 64);
-            config.privacy = PrivacyConfig::none();
-            config.selection = strategy;
-            let mut s = FedoraServer::new(config, |id| vec![id as u8; 32], &mut rng);
-            let mut mode = FedAvg;
-            for round in 0..4u64 {
-                let reqs: Vec<u64> = (0..12).map(|i| (i * 3 + round) % 128).collect();
-                s.begin_round(&reqs, &mut rng).unwrap();
-                for &id in &reqs {
-                    assert_eq!(
-                        s.serve(id, &mut rng).unwrap().unwrap(),
-                        vec![id as u8; 32],
-                        "{strategy:?}"
-                    );
-                }
-                s.end_round(&mut mode, 1.0, &mut rng).unwrap();
-            }
-        }
     }
 
     #[test]

@@ -13,8 +13,6 @@
 //! This module is device-agnostic: it transforms byte vectors. The ORAM
 //! layer owns where the encrypted groups live (DRAM or SSD).
 
-use fedora_par::WorkerPool;
-
 use crate::aead::{AeadError, ChaCha20Poly1305, Key, Nonce, TAG_LEN};
 
 /// Number of child-counter slots stored in each group (binary tree).
@@ -96,7 +94,6 @@ impl DecryptedPath {
 pub struct GroupTreeCipher {
     aead: ChaCha20Poly1305,
     root_counter: u64,
-    pool: WorkerPool,
 }
 
 impl GroupTreeCipher {
@@ -105,17 +102,7 @@ impl GroupTreeCipher {
         GroupTreeCipher {
             aead: ChaCha20Poly1305::new(&key),
             root_counter: 0,
-            pool: WorkerPool::serial(),
         }
-    }
-
-    /// Sets the worker-thread count for path *encryption* (each on-path
-    /// group encrypts independently once the counters are fixed).
-    /// Decryption stays inherently serial: each group's counter lives in
-    /// its parent's plaintext, so the walk is a data dependency chain.
-    /// Thread count never changes the produced bytes.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.pool = WorkerPool::new(threads);
     }
 
     /// The current root counter (lives in the scratchpad in the real
@@ -224,19 +211,16 @@ impl GroupTreeCipher {
             counters_used.push(path.child_counters[level][slot]);
         }
 
-        // With every on-path counter fixed above, each group's AEAD is
-        // independent — fan the encrypts out and collect in level order
-        // (bit-identical to the serial loop).
-        let aead = &self.aead;
-        let path = &path;
-        self.pool.map_indices(n, |level| {
-            let mut plain = path.payloads[level].clone();
-            plain.extend_from_slice(&path.child_counters[level][0].to_le_bytes());
-            plain.extend_from_slice(&path.child_counters[level][1].to_le_bytes());
-            let nonce = Nonce::from_u64_pair(path.ids[level], counters_used[level]);
-            let aad = path.ids[level].to_le_bytes();
-            aead.encrypt(&nonce, &plain, &aad)
-        })
+        (0..n)
+            .map(|level| {
+                let mut plain = path.payloads[level].clone();
+                plain.extend_from_slice(&path.child_counters[level][0].to_le_bytes());
+                plain.extend_from_slice(&path.child_counters[level][1].to_le_bytes());
+                let nonce = Nonce::from_u64_pair(path.ids[level], counters_used[level]);
+                let aad = path.ids[level].to_le_bytes();
+                self.aead.encrypt(&nonce, &plain, &aad)
+            })
+            .collect()
     }
 }
 
@@ -365,23 +349,6 @@ mod tests {
         // And the right child decrypts too.
         let dec_right = c.decrypt_path(&right_enc, &[0, 2], &[true]).unwrap();
         assert_eq!(dec_right.payloads[1], vec![7u8; 4]);
-    }
-
-    #[test]
-    fn parallel_encrypt_bit_identical_to_serial() {
-        let payloads: Vec<Vec<u8>> = (0..6).map(|i| vec![i as u8; 48]).collect();
-        let ids: Vec<u32> = (0..6).collect();
-        let dirs = vec![false, true, false, true, false];
-        let mut serial = cipher();
-        let mut par = cipher();
-        par.set_threads(4);
-        let enc_s = serial.encrypt_fresh_path(&payloads, &ids, &dirs);
-        let enc_p = par.encrypt_fresh_path(&payloads, &ids, &dirs);
-        assert_eq!(enc_s, enc_p);
-        // A modify-and-reencrypt cycle stays identical too.
-        let dec_s = serial.decrypt_path(&enc_s, &ids, &dirs).unwrap();
-        let dec_p = par.decrypt_path(&enc_p, &ids, &dirs).unwrap();
-        assert_eq!(serial.encrypt_path(dec_s), par.encrypt_path(dec_p));
     }
 
     #[test]

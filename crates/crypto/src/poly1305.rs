@@ -11,7 +11,7 @@
 //! The final reduction to the canonical representative is constant-time:
 //! it computes `g = h + 5 − 2¹³⁰` and keeps `g` or `h` by a mask taken
 //! from `g`'s sign bit, so no branch or memory access depends on `h`.
-//! The message is absorbed by the crate-private incremental [`Poly1305`]
+//! The message is absorbed by the crate-private incremental `Poly1305`
 //! state; [`authenticate`] is a one-shot wrapper over it.
 
 /// Poly1305 key length (r ‖ s) in bytes.

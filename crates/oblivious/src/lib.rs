@@ -8,18 +8,13 @@
 //! * [`Choice`] — a branchless boolean whose value the optimizer cannot see
 //!   through (the same idea as the `subtle` crate, reimplemented here so the
 //!   whole stack is dependency-free and auditable).
-//! * [`select`] — constant-time selection (`cond ? a : b`) for integers and
-//!   byte slices.
+//! * [`select`] — constant-time equality and selection (`cond ? a : b`) on
+//!   `u64` words.
 //! * [`union`] — the paper's §4.2 oblivious union: an *O(K²)* linear scan
 //!   that computes the union of the K requested embedding indices without
-//!   revealing duplicate structure, plus the chunked variant used when K is
-//!   large.
-//! * [`sort`] — a bitonic sorting network (data-independent schedule of
-//!   compare-and-swaps), used by eviction logic and by tests.
-//! * [`sorted_union`] — the O(K log² K) sort-based union alternative,
-//!   quantifying the paper's choice of the chunked quadratic scan.
-//! * [`scan`] — oblivious full-array scans: lookup/update of one element by
-//!   touching every element.
+//!   revealing duplicate structure. The server runs it chunk by chunk when
+//!   K is large; [`union::requests_scan_cost`] counts that loop's slot
+//!   visits.
 //!
 //! # Threat model
 //!
@@ -42,12 +37,9 @@
 #![warn(missing_docs)]
 
 pub mod choice;
-pub mod scan;
 pub mod select;
-pub mod sort;
-pub mod sorted_union;
 pub mod union;
 
 pub use choice::Choice;
-pub use select::{ct_eq_u64, ct_ge_u64, ct_lt_u64, select_u64, select_usize};
-pub use union::{oblivious_union, ChunkedUnion, UnionSet};
+pub use select::{ct_eq_u64, select_u64};
+pub use union::{oblivious_union, UnionSet};

@@ -1,8 +1,8 @@
-//! Constant-time comparisons and selection.
+//! Constant-time comparison and selection.
 //!
-//! These are the register-level building blocks: equality/ordering tests
-//! that produce a [`Choice`], and `select` operations that choose between two
-//! values (or copy between two buffers) without branching.
+//! These are the register-level building blocks of the oblivious union: an
+//! equality test that produces a [`Choice`], and a `select` that chooses
+//! between two values without branching.
 
 use crate::Choice;
 
@@ -23,22 +23,6 @@ pub fn ct_eq_u64(a: u64, b: u64) -> Choice {
     Choice::from_word(nonzero ^ 1)
 }
 
-/// Constant-time `a < b` for `u64`.
-///
-/// Uses the standard borrow-extraction trick on 64-bit words.
-#[inline]
-pub fn ct_lt_u64(a: u64, b: u64) -> Choice {
-    // Compute the borrow of a - b via 128-bit subtraction.
-    let wide = (a as u128).wrapping_sub(b as u128);
-    Choice::from_word(((wide >> 127) & 1) as u64)
-}
-
-/// Constant-time `a >= b` for `u64`.
-#[inline]
-pub fn ct_ge_u64(a: u64, b: u64) -> Choice {
-    !ct_lt_u64(a, b)
-}
-
 /// Constant-time select: returns `a` if `cond` is true, else `b`.
 ///
 /// # Example
@@ -54,84 +38,6 @@ pub fn select_u64(cond: Choice, a: u64, b: u64) -> u64 {
     (a & mask) | (b & !mask)
 }
 
-/// Constant-time select for `usize` values.
-#[inline]
-pub fn select_usize(cond: Choice, a: usize, b: usize) -> usize {
-    select_u64(cond, a as u64, b as u64) as usize
-}
-
-/// Constant-time select for `u32` values.
-#[inline]
-pub fn select_u32(cond: Choice, a: u32, b: u32) -> u32 {
-    select_u64(cond, a as u64, b as u64) as u32
-}
-
-/// Constant-time select for `f32` values (by bit pattern).
-#[inline]
-pub fn select_f32(cond: Choice, a: f32, b: f32) -> f32 {
-    f32::from_bits(select_u32(cond, a.to_bits(), b.to_bits()))
-}
-
-/// Constant-time conditional overwrite: `dst = src` iff `cond`, element-wise
-/// over byte slices. Always touches every byte of both slices.
-///
-/// # Panics
-///
-/// Panics if `dst.len() != src.len()`.
-#[inline]
-pub fn cmov_bytes(cond: Choice, dst: &mut [u8], src: &[u8]) {
-    assert_eq!(
-        dst.len(),
-        src.len(),
-        "cmov_bytes length mismatch: {} vs {}",
-        dst.len(),
-        src.len()
-    );
-    let mask = cond.to_mask() as u8;
-    for (d, s) in dst.iter_mut().zip(src.iter()) {
-        *d = (*s & mask) | (*d & !mask);
-    }
-}
-
-/// Constant-time conditional swap of two equal-length byte slices.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn cswap_bytes(cond: Choice, a: &mut [u8], b: &mut [u8]) {
-    assert_eq!(a.len(), b.len(), "cswap_bytes length mismatch");
-    let mask = cond.to_mask() as u8;
-    for (x, y) in a.iter_mut().zip(b.iter_mut()) {
-        let t = (*x ^ *y) & mask;
-        *x ^= t;
-        *y ^= t;
-    }
-}
-
-/// Constant-time conditional swap of two `u64`s.
-#[inline]
-pub fn cswap_u64(cond: Choice, a: &mut u64, b: &mut u64) {
-    let mask = cond.to_mask();
-    let t = (*a ^ *b) & mask;
-    *a ^= t;
-    *b ^= t;
-}
-
-/// Constant-time conditional overwrite for `f32` slices.
-///
-/// # Panics
-///
-/// Panics if `dst.len() != src.len()`.
-#[inline]
-pub fn cmov_f32(cond: Choice, dst: &mut [f32], src: &[f32]) {
-    assert_eq!(dst.len(), src.len(), "cmov_f32 length mismatch");
-    let mask = cond.to_mask() as u32;
-    for (d, s) in dst.iter_mut().zip(src.iter()) {
-        *d = f32::from_bits((s.to_bits() & mask) | (d.to_bits() & !mask));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,69 +51,8 @@ mod tests {
     }
 
     #[test]
-    fn lt_edges() {
-        assert!(ct_lt_u64(0, 1).unwrap_leaky());
-        assert!(!ct_lt_u64(1, 0).unwrap_leaky());
-        assert!(!ct_lt_u64(5, 5).unwrap_leaky());
-        assert!(ct_lt_u64(0, u64::MAX).unwrap_leaky());
-        assert!(!ct_lt_u64(u64::MAX, 0).unwrap_leaky());
-    }
-
-    #[test]
-    fn ge_is_not_lt() {
-        for (a, b) in [(0u64, 0u64), (1, 2), (2, 1), (u64::MAX, 1)] {
-            assert_eq!(ct_ge_u64(a, b).unwrap_leaky(), a >= b);
-        }
-    }
-
-    #[test]
     fn select_picks_correctly() {
         assert_eq!(select_u64(Choice::TRUE, 10, 20), 10);
         assert_eq!(select_u64(Choice::FALSE, 10, 20), 20);
-        assert_eq!(select_usize(Choice::TRUE, 3, 4), 3);
-        assert_eq!(select_f32(Choice::FALSE, 1.5, -2.5), -2.5);
-    }
-
-    #[test]
-    fn cmov_applies_only_when_true() {
-        let mut dst = [1u8, 2, 3];
-        cmov_bytes(Choice::FALSE, &mut dst, &[9, 9, 9]);
-        assert_eq!(dst, [1, 2, 3]);
-        cmov_bytes(Choice::TRUE, &mut dst, &[9, 8, 7]);
-        assert_eq!(dst, [9, 8, 7]);
-    }
-
-    #[test]
-    fn cswap_swaps_only_when_true() {
-        let mut a = [1u8, 2];
-        let mut b = [3u8, 4];
-        cswap_bytes(Choice::FALSE, &mut a, &mut b);
-        assert_eq!((a, b), ([1, 2], [3, 4]));
-        cswap_bytes(Choice::TRUE, &mut a, &mut b);
-        assert_eq!((a, b), ([3, 4], [1, 2]));
-    }
-
-    #[test]
-    fn cswap_u64_works() {
-        let (mut a, mut b) = (5u64, 9u64);
-        cswap_u64(Choice::TRUE, &mut a, &mut b);
-        assert_eq!((a, b), (9, 5));
-        cswap_u64(Choice::FALSE, &mut a, &mut b);
-        assert_eq!((a, b), (9, 5));
-    }
-
-    #[test]
-    fn cmov_f32_bit_exact() {
-        let mut dst = [1.0f32, f32::NAN];
-        let src = [2.0f32, 3.0];
-        cmov_f32(Choice::TRUE, &mut dst, &src);
-        assert_eq!(dst, [2.0, 3.0]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn cmov_len_mismatch_panics() {
-        let mut dst = [0u8; 2];
-        cmov_bytes(Choice::TRUE, &mut dst, &[0u8; 3]);
     }
 }

@@ -8,10 +8,12 @@
 //! constant-time compare/insert logic. The result array is conservatively
 //! sized (`K` slots) so it can never overflow.
 //!
-//! When `K` is large, the requests are split into evenly-sized chunks
-//! ([`ChunkedUnion`]) and steps ①–③ run chunk by chunk; by parallel
-//! composition of DP this preserves ε-FDP, at an accuracy/performance cost
-//! that the evaluation (§4.2, chunk size 16K) quantifies.
+//! When `K` is large, the server's read phase splits the requests into
+//! evenly-sized chunks (its loop over `fedora_fdp::ChunkPlan`) and runs
+//! steps ①–③ chunk by chunk; by parallel composition of DP this preserves
+//! ε-FDP, at an accuracy/performance cost that the evaluation (§4.2, chunk
+//! size 16K) quantifies. [`requests_scan_cost`] counts the slot visits of
+//! that chunked loop.
 
 use crate::select::{ct_eq_u64, select_u64};
 use crate::Choice;
@@ -29,23 +31,16 @@ pub const EMPTY_SLOT: u64 = u64::MAX;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UnionSet {
     slots: Vec<u64>,
-    counts: Vec<u64>,
     real: usize,
 }
 
 impl UnionSet {
     /// Creates an empty union set with capacity for `capacity` entries.
-    pub fn with_capacity(capacity: usize) -> Self {
+    fn with_capacity(capacity: usize) -> Self {
         UnionSet {
             slots: vec![EMPTY_SLOT; capacity],
-            counts: vec![0; capacity],
             real: 0,
         }
-    }
-
-    /// The public capacity of the set (number of slots scanned per insert).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 
     /// The number of real (non-sentinel) entries — the secret `k_union`.
@@ -56,86 +51,34 @@ impl UnionSet {
         self.real
     }
 
-    /// Read-only view of all slots, including trailing [`EMPTY_SLOT`]s.
-    pub fn slots(&self) -> &[u64] {
-        &self.slots
-    }
-
     /// The real entries, in first-seen order.
     pub fn real_entries(&self) -> &[u64] {
         &self.slots[..self.real]
     }
 
     /// Obliviously inserts `index`: scans every slot, writing `index` into
-    /// the first empty slot iff no earlier slot already holds it, and
-    /// incrementing the entry's request count either way. The scan pattern
-    /// (every slot, in order) is independent of the data.
+    /// the first empty slot iff no earlier slot already holds it. The scan
+    /// pattern (every slot, in order) is independent of the data.
     ///
     /// # Panics
     ///
     /// Panics if `index == EMPTY_SLOT` (the sentinel is reserved) — this is a
     /// public property of the input encoding, not a secret-dependent branch.
-    pub fn oblivious_insert(&mut self, index: u64) {
+    fn oblivious_insert(&mut self, index: u64) {
         assert_ne!(index, EMPTY_SLOT, "EMPTY_SLOT sentinel is reserved");
         let mut seen = Choice::FALSE;
         let mut inserted = Choice::FALSE;
-        for (slot, count) in self.slots.iter_mut().zip(self.counts.iter_mut()) {
+        for slot in &mut self.slots {
             let is_empty = ct_eq_u64(*slot, EMPTY_SLOT);
-            let is_match = ct_eq_u64(*slot, index);
-            seen = seen | is_match;
+            seen = seen | ct_eq_u64(*slot, index);
             // Insert here iff: slot empty, not seen before, not yet inserted.
             let do_insert = is_empty & !seen & !inserted;
             *slot = select_u64(do_insert, index, *slot);
-            // The request lands on exactly one slot: its match or its
-            // fresh insertion point.
-            *count += (is_match | do_insert).to_word();
             inserted = inserted | do_insert;
         }
         // `real` increments iff we inserted. This counter lives inside the
         // secure controller; updating it arithmetically keeps it branch-free.
         self.real += inserted.to_word() as usize;
-    }
-
-    /// Per-slot request counts (parallel to [`slots`](Self::slots)): how
-    /// many of the round's K requests named each entry. Maintained
-    /// obliviously during insertion; used by the popularity-aware entry-
-    /// selection strategy (§4.2).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// The real entries paired with their request counts, in first-seen
-    /// order.
-    pub fn real_entries_with_counts(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.slots[..self.real]
-            .iter()
-            .zip(&self.counts[..self.real])
-            .map(|(&s, &c)| (s, c))
-    }
-
-    /// Writes a slot directly (crate-internal: the sort-based union
-    /// materializes its compacted output through this).
-    pub(crate) fn write_slot(&mut self, slot: usize, value: u64) {
-        self.slots[slot] = value;
-    }
-
-    /// Recomputes `len_real` by scanning for the sentinel (crate-internal;
-    /// the scan is over the full public-length array).
-    pub(crate) fn recount(&mut self) {
-        let mut real = 0u64;
-        for &s in &self.slots {
-            real += (!ct_eq_u64(s, EMPTY_SLOT)).to_word();
-        }
-        self.real = real as usize;
-    }
-
-    /// Returns whether `index` is present (constant-time full scan).
-    pub fn contains_ct(&self, index: u64) -> Choice {
-        let mut found = Choice::FALSE;
-        for &slot in &self.slots {
-            found = found | ct_eq_u64(slot, index);
-        }
-        found
     }
 }
 
@@ -170,53 +113,6 @@ pub fn oblivious_union(requests: &[u64], capacity: usize) -> UnionSet {
     set
 }
 
-/// Splits a large request list into evenly-sized chunks and performs the
-/// union chunk by chunk (paper §4.2). Each chunk is independently unioned
-/// and independently FDP-noised downstream; duplicates *across* chunks are
-/// not removed, which is exactly the performance cost the paper describes.
-#[derive(Clone, Debug)]
-pub struct ChunkedUnion {
-    chunk_size: usize,
-}
-
-impl ChunkedUnion {
-    /// Creates a chunked-union helper. The paper's evaluation uses a chunk
-    /// size of 16 Ki requests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size == 0`.
-    pub fn new(chunk_size: usize) -> Self {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        ChunkedUnion { chunk_size }
-    }
-
-    /// The configured chunk size.
-    pub fn chunk_size(&self) -> usize {
-        self.chunk_size
-    }
-
-    /// Number of chunks a request list of length `k` splits into.
-    pub fn num_chunks(&self, k: usize) -> usize {
-        k.div_ceil(self.chunk_size)
-    }
-
-    /// Runs the oblivious union over each chunk, returning one [`UnionSet`]
-    /// per chunk. The cost is `O(Σ chunkᵢ²)` instead of `O(K²)`.
-    pub fn union_chunks(&self, requests: &[u64]) -> Vec<UnionSet> {
-        requests
-            .chunks(self.chunk_size)
-            .map(|c| oblivious_union(c, c.len()))
-            .collect()
-    }
-
-    /// The number of constant-time slot scans the full union performs —
-    /// the metric behind the paper's "linear scanning overhead" discussion.
-    pub fn scan_cost(&self, k: usize) -> u64 {
-        requests_scan_cost(k, self.chunk_size)
-    }
-}
-
 /// Slot-visit cost of the chunked union: each request in a chunk of size `c`
 /// scans `c` slots, so a chunk costs `c²` and the total is `Σ cᵢ²`.
 pub fn requests_scan_cost(k: usize, chunk_size: usize) -> u64 {
@@ -235,7 +131,7 @@ mod tests {
         let u = oblivious_union(&[42, 7, 42, 38, 42, 38], 6);
         assert_eq!(u.len_real(), 3);
         assert_eq!(u.real_entries(), &[42, 7, 38]);
-        assert_eq!(&u.slots()[3..], &[EMPTY_SLOT; 3]);
+        assert_eq!(&u.slots[3..], &[EMPTY_SLOT; 3]);
     }
 
     #[test]
@@ -261,29 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn counts_track_request_multiplicity() {
-        let u = oblivious_union(&[42, 7, 42, 38, 42, 38], 6);
-        let counted: Vec<(u64, u64)> = u.real_entries_with_counts().collect();
-        assert_eq!(counted, vec![(42, 3), (7, 1), (38, 2)]);
-        // Total count equals K.
-        assert_eq!(u.counts().iter().sum::<u64>(), 6);
-    }
-
-    #[test]
-    fn counts_all_ones_when_unique() {
-        let reqs: Vec<u64> = (0..10).collect();
-        let u = oblivious_union(&reqs, 10);
-        assert!(u.real_entries_with_counts().all(|(_, c)| c == 1));
-    }
-
-    #[test]
-    fn contains_ct_matches() {
-        let u = oblivious_union(&[10, 20, 30], 3);
-        assert!(u.contains_ct(20).unwrap_leaky());
-        assert!(!u.contains_ct(21).unwrap_leaky());
-    }
-
-    #[test]
     #[should_panic]
     fn sentinel_rejected() {
         oblivious_union(&[EMPTY_SLOT], 1);
@@ -296,18 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_union_splits() {
-        let cu = ChunkedUnion::new(4);
-        let reqs: Vec<u64> = vec![1, 2, 1, 2, 3, 3, 3, 3, 9];
-        let chunks = cu.union_chunks(&reqs);
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[0].len_real(), 2); // {1,2}
-        assert_eq!(chunks[1].len_real(), 1); // {3}
-        assert_eq!(chunks[2].len_real(), 1); // {9}
-        assert_eq!(cu.num_chunks(reqs.len()), 3);
-    }
-
-    #[test]
     fn scan_cost_quadratic_per_chunk() {
         // 10 requests, chunk 10 => 100 scans; chunk 5 => 2*25 = 50 scans.
         assert_eq!(requests_scan_cost(10, 10), 100);
@@ -315,11 +176,24 @@ mod tests {
         assert_eq!(requests_scan_cost(12, 5), 25 + 25 + 4);
     }
 
+    /// Cross-check against a plain first-seen dedup: same `len_real` and the
+    /// same entries in the same order, the order first-k selection reads.
     #[test]
-    fn duplicates_across_chunks_not_merged() {
-        let cu = ChunkedUnion::new(2);
-        let chunks = cu.union_chunks(&[7, 7, 7, 7]);
-        let total: usize = chunks.iter().map(|c| c.len_real()).sum();
-        assert_eq!(total, 2, "per-chunk unions keep cross-chunk duplicates");
+    fn agrees_with_first_seen_dedup() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::HashSet;
+
+        for case in 0..256 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let reqs: Vec<u64> = (0..rng.gen_range(0..80))
+                .map(|_| rng.gen_range(0..100))
+                .collect();
+            let mut seen = HashSet::new();
+            let dedup: Vec<u64> = reqs.iter().copied().filter(|&r| seen.insert(r)).collect();
+            let u = oblivious_union(&reqs, reqs.len());
+            assert_eq!(u.len_real(), dedup.len(), "case {case}");
+            assert_eq!(u.real_entries(), &dedup[..], "case {case}");
+        }
     }
 }

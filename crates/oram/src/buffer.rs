@@ -167,11 +167,6 @@ impl BufferOram {
         self.oram.store().device_stats()
     }
 
-    /// DRAM capacity the buffer ORAM occupies.
-    pub fn dram_bytes(&self) -> u64 {
-        self.oram.store().dram().capacity_bytes()
-    }
-
     /// Number of entries loaded this round.
     pub fn loaded_len(&self) -> usize {
         self.loaded.len()

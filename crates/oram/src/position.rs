@@ -1,13 +1,10 @@
 //! The position map: block id → assigned leaf.
 //!
 //! FEDORA keeps the position map in (encrypted, untrusted) DRAM. The map's
-//! *content* is secret; its access pattern during controller operation is
-//! made data-independent either by the scratchpad-resident working set or by
-//! oblivious scans (the §6.6 ablation). Here the map is a dense array with
-//! access counting; the latency model charges for its accesses, and an
-//! optional oblivious mode performs real whole-array scans for small maps.
+//! *content* is secret. [`PositionMap`] is the controller's dense plaintext
+//! array, one leaf per block; [`EncryptedPositionMap`] is the §5.2
+//! group-encrypted form of the same map.
 
-use fedora_oblivious::scan::{oblivious_read_u64, oblivious_write_u64};
 use fedora_storage::{ByteReader, ByteWriter, CodecError};
 use rand::Rng;
 
@@ -15,8 +12,6 @@ use rand::Rng;
 #[derive(Clone, Debug)]
 pub struct PositionMap {
     leaves: Vec<u64>,
-    accesses: u64,
-    oblivious: bool,
 }
 
 impl PositionMap {
@@ -27,16 +22,7 @@ impl PositionMap {
             leaves: (0..num_blocks)
                 .map(|_| rng.gen_range(0..num_leaves))
                 .collect(),
-            accesses: 0,
-            oblivious: false,
         }
-    }
-
-    /// Switches the map into oblivious-scan mode: every get/set touches the
-    /// entire array. Only sensible for small maps (used by tests and the
-    /// no-scratchpad ablation).
-    pub fn set_oblivious(&mut self, oblivious: bool) {
-        self.oblivious = oblivious;
     }
 
     /// Number of entries.
@@ -49,43 +35,23 @@ impl PositionMap {
         self.leaves.is_empty()
     }
 
-    /// Number of get/set operations performed (for the latency model).
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Size of the map in bytes (8 bytes per entry).
-    pub fn size_bytes(&self) -> u64 {
-        self.leaves.len() as u64 * 8
-    }
-
     /// Looks up the leaf of `id`.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range (callers validate ids at the API
     /// boundary; an out-of-range id here is a bug).
-    pub fn get(&mut self, id: u64) -> u64 {
-        self.accesses += 1;
-        if self.oblivious {
-            oblivious_read_u64(&self.leaves, id)
-        } else {
-            self.leaves[id as usize]
-        }
+    pub fn get(&self, id: u64) -> u64 {
+        self.leaves[id as usize]
     }
 
     /// Updates the leaf of `id`.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is out of range in non-oblivious mode.
+    /// Panics if `id` is out of range.
     pub fn set(&mut self, id: u64, leaf: u64) {
-        self.accesses += 1;
-        if self.oblivious {
-            oblivious_write_u64(&mut self.leaves, id, leaf);
-        } else {
-            self.leaves[id as usize] = leaf;
-        }
+        self.leaves[id as usize] = leaf;
     }
 
     /// Looks up and atomically remaps `id` to `new_leaf`, returning the old
@@ -96,12 +62,9 @@ impl PositionMap {
         old
     }
 
-    /// Serializes the map (assignments, access counter, mode) into `w` for
-    /// checkpointing.
+    /// Serializes the leaf assignments into `w` for checkpointing.
     pub fn encode_state(&self, w: &mut ByteWriter) {
         w.put_u64s(&self.leaves);
-        w.put_u64(self.accesses);
-        w.put_bool(self.oblivious);
     }
 
     /// Restores state captured by [`encode_state`](Self::encode_state) onto
@@ -116,8 +79,6 @@ impl PositionMap {
             return Err(CodecError::Invalid("position-map size mismatch"));
         }
         self.leaves = leaves;
-        self.accesses = r.get_u64()?;
-        self.oblivious = r.get_bool()?;
         Ok(())
     }
 }
@@ -283,7 +244,7 @@ mod tests {
     #[test]
     fn random_init_in_range() {
         let mut r = rng();
-        let mut pm = PositionMap::random(100, 16, &mut r);
+        let pm = PositionMap::random(100, 16, &mut r);
         for id in 0..100 {
             assert!(pm.get(id) < 16);
         }
@@ -304,30 +265,6 @@ mod tests {
         pm.set(0, 2);
         assert_eq!(pm.get_and_remap(0, 5), 2);
         assert_eq!(pm.get(0), 5);
-    }
-
-    #[test]
-    fn oblivious_mode_equivalent() {
-        let mut r = rng();
-        let mut pm = PositionMap::random(32, 16, &mut r);
-        let baseline: Vec<u64> = (0..32).map(|i| pm.get(i)).collect();
-        pm.set_oblivious(true);
-        for (i, &exp) in baseline.iter().enumerate() {
-            assert_eq!(pm.get(i as u64), exp);
-        }
-        pm.set(9, 3);
-        assert_eq!(pm.get(9), 3);
-    }
-
-    #[test]
-    fn access_counting() {
-        let mut r = rng();
-        let mut pm = PositionMap::random(4, 4, &mut r);
-        let before = pm.accesses();
-        pm.get(0);
-        pm.set(1, 0);
-        pm.get_and_remap(2, 1);
-        assert_eq!(pm.accesses() - before, 4);
     }
 
     #[test]
@@ -366,12 +303,5 @@ mod tests {
         let raw = 64 * 64 * 8;
         let overhead = pm.stored_bytes() as f64 / raw as f64 - 1.0;
         assert!(overhead < 0.1, "overhead {overhead:.3}");
-    }
-
-    #[test]
-    fn size_bytes() {
-        let mut r = rng();
-        let pm = PositionMap::random(1000, 4, &mut r);
-        assert_eq!(pm.size_bytes(), 8000);
     }
 }

@@ -162,9 +162,8 @@ impl<S: BucketStore> RawOram<S> {
             .map(|_| Bucket::empty(geo.z(), geo.block_bytes()))
             .collect();
         let mut stash = Stash::new();
-        let mut pos_snapshot = position.clone();
         for id in 0..num_blocks {
-            let leaf = pos_snapshot.get(id);
+            let leaf = position.get(id);
             let payload = init(id);
             assert_eq!(payload.len(), geo.block_bytes(), "init payload size");
             let block = Block::new(id, leaf, payload);
@@ -205,12 +204,6 @@ impl<S: BucketStore> RawOram<S> {
             scratch_bits: Vec::new(),
             scratch_counts: Vec::new(),
         }
-    }
-
-    /// Sets the worker-thread count for the backing store's bulk crypto.
-    /// Thread count never changes results — only wall-clock time.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.store.set_threads(threads);
     }
 
     /// Attaches telemetry: ORAM access/eviction latency histograms and

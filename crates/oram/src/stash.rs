@@ -87,11 +87,6 @@ impl Stash {
         self.blocks.iter()
     }
 
-    /// Removes every block, returning them.
-    pub fn drain_all(&mut self) -> Vec<Block> {
-        std::mem::take(&mut self.blocks)
-    }
-
     /// Serializes the stash (blocks in their current order, plus the
     /// high-water mark) into `w` for checkpointing. Order is preserved so a
     /// restored stash drains identically to the original.

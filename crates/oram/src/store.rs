@@ -41,9 +41,9 @@ use crate::OramError;
 /// How many decrypt attempts a resilient read makes beyond the first.
 pub const DEFAULT_RETRY_LIMIT: u32 = 4;
 
-/// How many older counters to probe when classifying a tag mismatch as a
-/// rollback (stale replay) versus corruption.
-pub const DEFAULT_ROLLBACK_WINDOW: u64 = 8;
+/// How many older counters both stores probe when classifying a tag
+/// mismatch as a rollback (stale replay) versus corruption.
+pub const ROLLBACK_WINDOW: u64 = 8;
 
 /// Counters of integrity events observed by a store.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -174,12 +174,6 @@ pub trait BucketStore {
     /// no-op for backends without instrumentation.
     fn set_telemetry(&mut self, _registry: &Registry) {}
 
-    /// Sets the worker-thread count for the store's bulk crypto (path
-    /// encrypt/decrypt). Thread count never changes results or the device
-    /// access sequence — only host wall-clock time. The default is a no-op
-    /// for backends without parallel crypto.
-    fn set_threads(&mut self, _threads: usize) {}
-
     /// Counters of integrity events (detections, retries, quarantines).
     fn integrity_stats(&self) -> IntegrityStats {
         IntegrityStats::default()
@@ -257,17 +251,16 @@ fn decrypt_bucket(
 }
 
 /// Classifies a tag mismatch on `node`'s bucket read at `count`: bytes
-/// that authenticate at one of the `window` counters below `count` are a
-/// replayed stale page; anything else is corruption.
+/// that authenticate at one of the [`ROLLBACK_WINDOW`] counters below
+/// `count` are a replayed stale page; anything else is corruption.
 fn classify(
     aead: &ChaCha20Poly1305,
     geometry: &TreeGeometry,
     node: u64,
     raw: &[u8],
     count: u64,
-    window: u64,
 ) -> IntegrityError {
-    let lo = count.saturating_sub(window);
+    let lo = count.saturating_sub(ROLLBACK_WINDOW);
     if (lo..count)
         .rev()
         .any(|c| decrypt_bucket(aead, geometry, node, raw, c).is_some())
@@ -286,7 +279,6 @@ pub struct SsdBucketStore {
     ssd: SimSsd,
     pages_per_bucket: u64,
     retry_limit: u32,
-    rollback_window: u64,
     integrity: IntegrityStats,
     quarantined: BTreeSet<u64>,
     telemetry: IntegrityTelemetry,
@@ -315,7 +307,6 @@ impl SsdBucketStore {
             ssd: SimSsd::new(profile, geometry.num_nodes() * pages_per_bucket),
             pages_per_bucket,
             retry_limit: DEFAULT_RETRY_LIMIT,
-            rollback_window: DEFAULT_ROLLBACK_WINDOW,
             integrity: IntegrityStats::default(),
             quarantined: BTreeSet::new(),
             telemetry: IntegrityTelemetry::default(),
@@ -380,12 +371,6 @@ impl SsdBucketStore {
     /// trace — and every result — is identical for any thread count.
     pub fn set_threads(&mut self, threads: usize) {
         self.pool = WorkerPool::new(threads);
-    }
-
-    /// Sets how many older counters are probed when classifying a tag
-    /// mismatch as rollback versus corruption.
-    pub fn set_rollback_window(&mut self, window: u64) {
-        self.rollback_window = window;
     }
 
     /// Arms the backing SSD's fault injector, fixing the rollback group
@@ -513,14 +498,7 @@ impl SsdBucketStore {
     /// Records a detection for one failed decrypt attempt at `count` and
     /// returns the classified kind.
     fn note_violation(&mut self, node: u64, raw: &[u8], count: u64) -> IntegrityError {
-        let kind = classify(
-            &self.aead,
-            &self.geometry,
-            node,
-            raw,
-            count,
-            self.rollback_window,
-        );
+        let kind = classify(&self.aead, &self.geometry, node, raw, count);
         match kind {
             IntegrityError::Rollback => {
                 self.integrity.detected_rollback += 1;
@@ -717,10 +695,6 @@ impl BucketStore for SsdBucketStore {
         SsdBucketStore::set_telemetry(self, registry);
     }
 
-    fn set_threads(&mut self, threads: usize) {
-        SsdBucketStore::set_threads(self, threads);
-    }
-
     fn integrity_stats(&self) -> IntegrityStats {
         self.integrity
     }
@@ -767,11 +741,6 @@ impl DramBucketStore {
     /// Convenience constructor using the default DDR5-like profile.
     pub fn with_default_dram(geometry: TreeGeometry, key: Key) -> Self {
         Self::new(geometry, key, DramProfile::default())
-    }
-
-    /// The backing DRAM (for capacity/power queries).
-    pub fn dram(&self) -> &SimDram {
-        &self.dram
     }
 
     /// Serializes the store's state — the encrypted DRAM image and its
@@ -826,14 +795,7 @@ impl BucketStore for DramBucketStore {
             .read(node * self.stride, &mut raw)
             .map_err(|_| OramError::Device)?;
         decrypt_bucket(&self.aead, &self.geometry, node, &raw, count).ok_or_else(|| {
-            let kind = classify(
-                &self.aead,
-                &self.geometry,
-                node,
-                &raw,
-                count,
-                DEFAULT_ROLLBACK_WINDOW,
-            );
+            let kind = classify(&self.aead, &self.geometry, node, &raw, count);
             OramError::Integrity { kind, node }
         })
     }

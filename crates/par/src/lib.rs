@@ -1,11 +1,11 @@
 //! Zero-dependency scoped worker pool with **deterministic static
 //! partitioning**.
 //!
-//! FEDORA's round pipeline has three embarrassingly parallel layers —
-//! per-client local training, per-shard ORAM rounds, and per-bucket AEAD
-//! on the path read/eviction paths — but parallelism must never perturb
-//! obliviousness or reproducibility. This crate therefore provides the
-//! *least clever* parallel substrate that still wins wall-clock time:
+//! FEDORA has two embarrassingly parallel layers — per-client local
+//! training and per-bucket AEAD on the main ORAM's path reads and
+//! evictions — but parallelism must never perturb obliviousness or
+//! reproducibility. This crate therefore provides the *least clever*
+//! parallel substrate that still wins wall-clock time:
 //!
 //! * **Static partitioning by index.** Item `i` of `n` always runs on
 //!   worker `i / ceil(n / workers)`; there is no queue and no
@@ -101,32 +101,6 @@ impl WorkerPool {
         })
     }
 
-    /// Maps `f(index, &mut item)` over `items`, returning results in item
-    /// order. Each worker owns a disjoint contiguous sub-slice, so the
-    /// mutable borrows never alias.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first worker panic after all workers finish.
-    pub fn map_mut<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, &mut T) -> R + Sync,
-    {
-        if self.is_serial() || items.len() <= 1 {
-            return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-        let chunk = self.chunk_len(items.len());
-        run_chunked(items.chunks_mut(chunk), chunk, |base, slice| {
-            slice
-                .iter_mut()
-                .enumerate()
-                .map(|(j, t)| f(base + j, t))
-                .collect()
-        })
-    }
-
     /// Runs `f(index)` for `0..n`, returning results in index order.
     pub fn map_indices<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
@@ -199,19 +173,6 @@ mod tests {
         for threads in [1, 2, 3, 4, 8, 97, 200] {
             let got = WorkerPool::new(threads).map(&items, |i, v| i as u64 + v * 3);
             assert_eq!(got, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn map_mut_partitions_disjointly() {
-        for threads in [1, 2, 5, 16] {
-            let mut items = vec![0u64; 64];
-            let sums = WorkerPool::new(threads).map_mut(&mut items, |i, v| {
-                *v = i as u64;
-                *v
-            });
-            assert_eq!(items, (0..64).collect::<Vec<u64>>(), "threads={threads}");
-            assert_eq!(sums, items, "threads={threads}");
         }
     }
 

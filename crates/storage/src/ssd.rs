@@ -32,7 +32,7 @@ pub enum SsdError {
     },
     /// A transient device failure — the operation did not happen, but an
     /// immediate retry may succeed. Only produced when a
-    /// [`FaultInjector`](crate::fault::FaultInjector) is armed.
+    /// [`FaultInjector`] is armed.
     Transient {
         /// The first page the failed operation addressed.
         page: u64,
@@ -107,8 +107,7 @@ impl SimSsd {
     }
 
     /// Attaches a shadow-mode access trace recorder capturing this device's
-    /// physical page-access sequence (see
-    /// [`AccessTraceRecorder`](crate::trace_recorder::AccessTraceRecorder)).
+    /// physical page-access sequence (see [`AccessTraceRecorder`]).
     /// Replaces any previous recorder; pass
     /// [`AccessTraceRecorder::disabled`] to detach.
     pub fn set_access_recorder(&mut self, recorder: AccessTraceRecorder) {

@@ -83,44 +83,6 @@ impl Snapshot {
         full
     }
 
-    /// A copy with every series name prefixed as `"{prefix}.{name}"`
-    /// (audit-only tags follow their series; events are left untouched).
-    /// Used by the multi-table server to namespace per-shard registries as
-    /// `oram.shard<N>.*` before aggregation.
-    pub fn prefixed(&self, prefix: &str) -> Snapshot {
-        let pre = |k: &String| format!("{prefix}.{k}");
-        Snapshot {
-            counters: self.counters.iter().map(|(k, v)| (pre(k), *v)).collect(),
-            gauges: self.gauges.iter().map(|(k, v)| (pre(k), *v)).collect(),
-            histograms: self.histograms.iter().map(|(k, v)| (pre(k), *v)).collect(),
-            events: self.events.clone(),
-            events_dropped: self.events_dropped,
-            audit_only: self.audit_only.iter().map(pre).collect(),
-        }
-    }
-
-    /// Merges another snapshot into this one: series lists are
-    /// concatenated (then re-sorted by name so lookups and exports stay
-    /// deterministic), events appended, drop counts summed, and the
-    /// audit-only tag set re-sorted so [`is_audit_only`] keeps working.
-    /// Combine with [`prefixed`](Self::prefixed) to compose disjoint
-    /// per-shard namespaces into one aggregated view.
-    ///
-    /// [`is_audit_only`]: Self::is_audit_only
-    pub fn absorb(&mut self, other: Snapshot) {
-        self.counters.extend(other.counters);
-        self.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        self.gauges.extend(other.gauges);
-        self.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        self.histograms.extend(other.histograms);
-        self.histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        self.events.extend(other.events);
-        self.events_dropped += other.events_dropped;
-        self.audit_only.extend(other.audit_only);
-        self.audit_only.sort();
-        self.audit_only.dedup();
-    }
-
     /// Interval view: what happened *after* `earlier` was taken, assuming
     /// `earlier` is an older snapshot of the same registry.
     ///
@@ -733,39 +695,6 @@ mod tests {
         assert!(full
             .to_prometheus_text()
             .contains("fedora_fdp_k_overhead_count 1\n"));
-    }
-
-    #[test]
-    fn prefixed_renames_series_and_audit_tags() {
-        let r = Registry::new();
-        r.counter("storage.pages_read").add(2);
-        r.gauge_audit("fdp.round.k_union").set(9.0);
-        let p = r.snapshot_lite().prefixed("oram.shard3");
-        assert_eq!(p.counter("oram.shard3.storage.pages_read"), Some(2));
-        assert_eq!(p.counter("storage.pages_read"), None);
-        assert!(p.is_audit_only("oram.shard3.fdp.round.k_union"));
-        assert!(!p.to_json().contains("k_union"));
-    }
-
-    #[test]
-    fn absorb_merges_shard_snapshots() {
-        let a = Registry::new();
-        a.counter("storage.pages_read").add(2);
-        a.gauge_audit("fdp.round.k_union").set(9.0);
-        let b = Registry::new();
-        b.counter("storage.pages_read").add(5);
-        let mut merged = a.snapshot_lite().prefixed("oram.shard0");
-        merged.absorb(b.snapshot_lite().prefixed("oram.shard1"));
-        assert_eq!(merged.counter("oram.shard0.storage.pages_read"), Some(2));
-        assert_eq!(merged.counter("oram.shard1.storage.pages_read"), Some(5));
-        // Audit tags stay sorted after the merge so lookups still resolve.
-        assert!(merged.is_audit_only("oram.shard0.fdp.round.k_union"));
-        assert!(!merged.to_json().contains("k_union"));
-        // Names are re-sorted: exports stay deterministic.
-        let names: Vec<&str> = merged.counters.iter().map(|(k, _)| k.as_str()).collect();
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        assert_eq!(names, sorted);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!    through the AEAD + write-counter integrity layer.
 //! 2. **Zero silent corruption** — after a multi-round chaos campaign
 //!    the recovered table is bit-identical to a fault-free twin run fed
-//!    the same requests and gradients (`PrivacyConfig::none()` + FirstK
-//!    makes the twins deterministic).
+//!    the same requests and gradients (`PrivacyConfig::none()` and the
+//!    server's first-k read make the twins deterministic).
 //! 3. **Forward progress** — transactional rounds abort cleanly, roll
 //!    back to the round-start snapshot, and the next round proceeds
 //!    (degraded for quarantined entries, never wrong).

@@ -1,11 +1,10 @@
 //! Privacy-observability integration tests: the twin-run obliviousness
 //! auditor, the privacy ledger's exact accounting (including aborted
-//! rounds), audit-only redaction across every export format, the budget
-//! alarm, and per-shard telemetry namespaces — the whole stack at once.
+//! rounds), audit-only redaction across every export format and the budget
+//! alarm — the whole stack at once.
 
 use fedora::audit::{audit_determinism, audit_twin_inputs, twin_inputs, AuditVerdict};
 use fedora::config::{FedoraConfig, PrivacyBudgetConfig, PrivacyConfig, TableSpec};
-use fedora::multi::MultiTableServer;
 use fedora::server::{FedoraError, FedoraServer};
 use fedora_fl::modes::FedAvg;
 use fedora_storage::FaultConfig;
@@ -193,40 +192,4 @@ fn enforcing_budget_refuses_round() {
         server.end_round(&mut mode, 1.0, &mut rng).unwrap_err(),
         FedoraError::NoActiveRound
     ));
-}
-
-/// Per-shard namespaces: each table's ledger lands under `oram.shard<N>.*`
-/// in the aggregated round snapshot, with audit-only tags intact.
-#[test]
-fn shard_namespaces_survive_aggregation() {
-    let mut rng = StdRng::seed_from_u64(73);
-    let mk = |entries: u64| {
-        let mut c = FedoraConfig::for_testing(TableSpec::tiny(entries), 16);
-        c.privacy = PrivacyConfig::with_epsilon(1.0);
-        c
-    };
-    let mut multi = MultiTableServer::new(
-        vec![
-            (mk(128), Box::new(|id: u64| vec![id as u8; 32])),
-            (mk(256), Box::new(|_| vec![7u8; 32])),
-        ],
-        &mut rng,
-    );
-    multi
-        .begin_round(&[vec![1, 2], vec![3]], &mut rng)
-        .expect("begin");
-    let mut mode = FedAvg;
-    let report = multi.end_round(&mut mode, 1.0, &mut rng).expect("end");
-    for shard in 0..2 {
-        let name = format!("oram.shard{shard}.fdp.total.epsilon");
-        assert_eq!(
-            report.metrics.gauge(&name),
-            Some(multi.table(shard).accountant().total_epsilon()),
-            "{name}"
-        );
-    }
-    assert!(report
-        .metrics
-        .is_audit_only("oram.shard0.fdp.round.k_union"));
-    assert!(!report.metrics.to_json().contains("k_union"));
 }
