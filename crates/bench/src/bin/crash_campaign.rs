@@ -110,15 +110,11 @@ fn main() {
                 server.enable_durability(&dir).expect("enable durability");
                 server.set_fault_plan(plan);
                 server.set_round_seed_hint(run_seed);
-                // Fault-induced aborts are tolerated (retried) during
-                // warm-up; only the armed crash point may kill the run.
-                let mut attempts = 0u64;
-                while server.committed_rounds() < WARMUP_ROUNDS {
-                    attempts += 1;
-                    assert!(attempts <= 32, "{point}/{mix}: warm-up never committed");
-                    if let Err(e) = run_round(&mut server, attempts, &mut rng) {
-                        println!("warm-up abort under {mix}: {e}");
-                    }
+                // The retry budget absorbs every fault mix, and an abort
+                // would stop the server: each warm-up round must commit.
+                for round in 1..=WARMUP_ROUNDS {
+                    run_round(&mut server, round, &mut rng)
+                        .unwrap_or_else(|e| panic!("{point}/{mix}: warm-up round: {e}"));
                 }
                 let committed = server.committed_rounds();
                 let committed_eps = server.accountant().total_epsilon();
@@ -128,8 +124,9 @@ fn main() {
                 server.arm_crash_point(point);
                 match run_round(&mut server, WARMUP_ROUNDS, &mut rng) {
                     Err(FedoraError::CrashInjected { .. }) => kills += 1,
-                    // A fault abort or a zero-ORAM-access round can beat a
-                    // mid-round point to it; recovery must still hold.
+                    // A fault abort (which stops the server) or a
+                    // zero-ORAM-access round can beat a mid-round point to
+                    // it; recovery must still hold.
                     Err(e) => println!("crash round abort under {mix}: {e}"),
                     Ok(()) => {}
                 }

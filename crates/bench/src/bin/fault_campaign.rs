@@ -72,8 +72,8 @@ fn main() {
         match server.begin_round(&reqs, &mut rng) {
             Ok(_) => {}
             Err(e) => {
-                println!("round {round}: aborted ({e}); retrying next round");
-                continue;
+                println!("round {round}: aborted ({e})");
+                break;
             }
         }
         for &id in &reqs {
@@ -85,7 +85,7 @@ fn main() {
         let mut mode = FedAvg;
         if let Err(e) = server.end_round(&mut mode, 0.5, &mut rng) {
             println!("round {round}: write phase aborted ({e})");
-            continue;
+            break;
         }
         let f = server.fault_stats();
         let i = server.integrity_stats();
@@ -168,7 +168,7 @@ fn main() {
         registry
             .gauge("campaign.completed_rounds")
             .set(server.committed_rounds() as f64);
-        if let Err(msg) = opts.write(&server.metrics_snapshot()) {
+        if let Err(msg) = opts.write(&server.registry().snapshot()) {
             eprintln!("error: {msg}");
             std::process::exit(1);
         }

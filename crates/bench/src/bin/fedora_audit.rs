@@ -17,7 +17,7 @@
 //! ```text
 //! fedora_audit [--k N] [--rounds N] [--seed S] [--entries N]
 //!              [--epsilon E] [--out PATH]
-//!              [--metrics-out PATH] [--metrics-format json|csv|prom]
+//!              [--metrics-out PATH] [--metrics-format json|prom]
 //! ```
 //!
 //! Exits non-zero when any check fails (honest mechanism flagged, canary
@@ -44,7 +44,7 @@ USAGE:
     fedora_audit [--k N] [--rounds N] [--seed S] [--entries N]
                  [--epsilon E] [--out PATH] [--threads N]
                  [--empirical] [--empirical-samples N]
-                 [--metrics-out PATH] [--metrics-format json|csv|prom]
+                 [--metrics-out PATH] [--metrics-format json|prom]
 
 --threads N runs every audited pipeline with N worker threads; the checks
 must pass identically at any thread count (determinism is the point).
@@ -108,8 +108,9 @@ fn check_json(name: &str, expect_leak: bool, outcome: &AuditOutcome, pass: bool)
     )
 }
 
-/// Ledger check: run a few live rounds and compare `fdp.total.epsilon` on
-/// the final report against the accountant. Returns (total, matches).
+/// Ledger check: run a few live rounds and compare the registry's
+/// `fdp.total.epsilon` after the final one against the accountant.
+/// Returns (total, matches).
 fn ledger_check(
     entries: u64,
     k: usize,
@@ -131,10 +132,10 @@ fn ledger_check(
         if server.begin_round(&requests, &mut rng).is_err() {
             return (f64::NAN, false);
         }
-        match server.end_round(&mut mode, 1.0, &mut rng) {
-            Ok(report) => last_gauge = report.metrics.gauge("fdp.total.epsilon"),
-            Err(_) => return (f64::NAN, false),
+        if server.end_round(&mut mode, 1.0, &mut rng).is_err() {
+            return (f64::NAN, false);
         }
+        last_gauge = server.registry().snapshot_lite().gauge("fdp.total.epsilon");
     }
     let total = server.accountant().total_epsilon();
     (total, last_gauge == Some(total))

@@ -6,7 +6,7 @@
 //!               [--seed N] [--timeout-secs N] [--shutdown-after]
 //!               [--entries N] [--queue-depth N]
 //!               [--scrape prom|json] [--scrape-out PATH]
-//!               [--metrics-out PATH] [--metrics-format json|csv|prom]
+//!               [--metrics-out PATH] [--metrics-format json|prom]
 //!               [--trace-out PATH]
 //! ```
 //!

@@ -6,9 +6,9 @@
 //!
 //! * `--metrics-out PATH` — write a telemetry [`Snapshot`] (counters,
 //!   gauges, histogram percentiles, event journal).
-//! * `--metrics-format json|csv|prom` — the serialization for
-//!   `--metrics-out`: single-line JSON (default), flat CSV, or Prometheus
-//!   text exposition. Audit-only series are redacted in every format.
+//! * `--metrics-format json|prom` — the serialization for
+//!   `--metrics-out`: single-line JSON (default) or Prometheus text
+//!   exposition. Audit-only series are redacted in both.
 //! * `--trace-out PATH` — write the causal span journal as Chrome
 //!   trace-event JSON, loadable in <https://ui.perfetto.dev> or
 //!   `chrome://tracing`.
@@ -32,8 +32,6 @@ pub enum MetricsFormat {
     /// Single-line JSON (`fedora-telemetry/v1`), the default.
     #[default]
     Json,
-    /// Flat `name,value` CSV.
-    Csv,
     /// Prometheus text exposition (`fedora_*` series).
     Prom,
 }
@@ -47,9 +45,8 @@ impl MetricsFormat {
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "json" => Ok(MetricsFormat::Json),
-            "csv" => Ok(MetricsFormat::Csv),
             "prom" | "prometheus" => Ok(MetricsFormat::Prom),
-            other => Err(format!("unknown metrics format '{other}' (json|csv|prom)")),
+            other => Err(format!("unknown metrics format '{other}' (json|prom)")),
         }
     }
 
@@ -61,7 +58,6 @@ impl MetricsFormat {
     pub fn write(self, snapshot: &Snapshot, path: &std::path::Path) -> std::io::Result<()> {
         match self {
             MetricsFormat::Json => snapshot.write_json(path),
-            MetricsFormat::Csv => snapshot.write_csv(path),
             MetricsFormat::Prom => snapshot.write_prometheus(path),
         }
     }
@@ -306,11 +302,10 @@ mod tests {
             OutputOpts::extract(&mut vec![]).unwrap().metrics_format,
             MetricsFormat::Json
         );
-        let mut bad: Vec<String> = ["--metrics-format", "xml"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        assert!(OutputOpts::extract(&mut bad).is_err());
+        for format in ["xml", "csv"] {
+            let mut bad: Vec<String> = vec!["--metrics-format".to_owned(), format.to_owned()];
+            assert!(OutputOpts::extract(&mut bad).is_err(), "{format}");
+        }
     }
 
     #[test]
@@ -321,11 +316,6 @@ mod tests {
         let dir = std::env::temp_dir();
         for (fmt, name, needle) in [
             (MetricsFormat::Json, "m.json", "\"storage.pages_read\":3"),
-            (
-                MetricsFormat::Csv,
-                "m.csv",
-                "counter,storage.pages_read,value,3",
-            ),
             (MetricsFormat::Prom, "m.prom", "fedora_storage_pages_read 3"),
         ] {
             let path = dir.join(format!("fedora-outopts-{}-{name}", std::process::id()));

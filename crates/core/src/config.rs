@@ -279,13 +279,13 @@ impl ParallelismConfig {
     }
 }
 
-/// Fault-tolerance policy for the server's round pipeline.
+/// Fault-tolerance policy for the server's round pipeline. An integrity
+/// failure that outlives the retries stops the server until crash
+/// recovery (see [`FedoraError::RoundAborted`]).
+///
+/// [`FedoraError::RoundAborted`]: crate::server::FedoraError::RoundAborted
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultToleranceConfig {
-    /// Transactional rounds: snapshot ORAM state at `begin_round` and roll
-    /// back to it when an unrecoverable integrity failure aborts the round.
-    /// Costs a full in-memory clone of the main + buffer ORAMs per round.
-    pub transactional: bool,
     /// Bucket-read retries before quarantining (0 = fail immediately).
     pub max_read_retries: u32,
 }
@@ -293,18 +293,7 @@ pub struct FaultToleranceConfig {
 impl Default for FaultToleranceConfig {
     fn default() -> Self {
         FaultToleranceConfig {
-            transactional: false,
             max_read_retries: fedora_oram::store::DEFAULT_RETRY_LIMIT,
-        }
-    }
-}
-
-impl FaultToleranceConfig {
-    /// Transactional rounds with the default retry/classification budget.
-    pub fn transactional() -> Self {
-        FaultToleranceConfig {
-            transactional: true,
-            ..Self::default()
         }
     }
 }

@@ -15,9 +15,7 @@ use fedora_oram::OramError;
 use fedora_storage::stats::DeviceStats;
 use fedora_storage::{AccessRecord, AccessTraceRecorder};
 use fedora_storage::{ByteReader, ByteWriter, CodecError, FaultConfig, FaultStats};
-use fedora_telemetry::{
-    Counter, Gauge, Histogram, HistogramSummary, Registry, Snapshot, TraceSpan,
-};
+use fedora_telemetry::{Counter, Gauge, Histogram, HistogramSummary, Registry, TraceSpan};
 use rand::Rng;
 
 use crate::audit::empirical::{value_distance, EpsilonEstimate, EpsilonEstimator};
@@ -49,9 +47,12 @@ pub enum FedoraError {
     Oram(OramError),
     /// Buffer-ORAM failure.
     Buffer(BufferError),
-    /// A transactional round hit an unrecoverable integrity failure and
-    /// was rolled back to its start-of-round snapshot. The round's
-    /// requests were *not* applied; the caller may retry the round.
+    /// An integrity failure survived the store's retries, so the round
+    /// was aborted, its ε charged, and the server stopped: every later
+    /// `begin_round`, `checkpoint` and `recover` on it returns this same
+    /// error. The way back is [`FedoraServer::recover`] on a freshly
+    /// built server, which restores the last commit and charges the
+    /// failed round from its journaled begin record, as after a crash.
     RoundAborted {
         /// What kind of integrity violation forced the abort.
         kind: IntegrityError,
@@ -110,7 +111,7 @@ impl core::fmt::Display for FedoraError {
             FedoraError::RoundAborted { kind, node } => {
                 write!(
                     f,
-                    "round aborted and rolled back: bucket {node} failed with {kind}"
+                    "round aborted, server stopped until recovery: bucket {node} failed with {kind}"
                 )
             }
             FedoraError::PrivacyBudgetExhausted { spent, budget } => {
@@ -197,10 +198,6 @@ pub struct RoundReport {
     pub integrity: IntegrityStats,
     /// Host wall-time spent per phase of this round.
     pub phases: PhaseBreakdown,
-    /// Telemetry snapshot at round completion (cumulative registry state:
-    /// counters, gauges, histogram summaries — no journal events). Empty
-    /// when the server runs with a disabled registry.
-    pub metrics: Snapshot,
 }
 
 fn put_device_stats(w: &mut ByteWriter, s: &DeviceStats) {
@@ -232,20 +229,19 @@ fn get_device_stats(r: &mut ByteReader<'_>) -> Result<DeviceStats, CodecError> {
 }
 
 impl RoundReport {
-    /// A copy with the host-time-dependent fields (phase wall-clock and
-    /// the telemetry snapshot) zeroed, leaving only the deterministic
-    /// round facts. Two runs of the same round — or a run and its
-    /// crash-recovered twin — produce byte-identical scrubbed reports.
+    /// A copy with the host-time-dependent phase wall-clock zeroed,
+    /// leaving only the deterministic round facts. Two runs of the same
+    /// round — or a run and its crash-recovered twin — produce
+    /// byte-identical scrubbed reports.
     pub fn scrubbed(&self) -> RoundReport {
         RoundReport {
             phases: PhaseBreakdown::default(),
-            metrics: Snapshot::default(),
             ..self.clone()
         }
     }
 
-    /// Serializes the deterministic round facts (everything but phases
-    /// and metrics, which [`scrubbed`](Self::scrubbed) zeroes) into `w`.
+    /// Serializes the deterministic round facts (everything but the
+    /// phases, which [`scrubbed`](Self::scrubbed) zeroes) into `w`.
     pub fn encode_state(&self, w: &mut ByteWriter) {
         for v in [
             self.k_requests,
@@ -273,7 +269,7 @@ impl RoundReport {
     }
 
     /// Decodes a report captured by [`encode_state`](Self::encode_state)
-    /// (phases and metrics come back zeroed, i.e. scrubbed).
+    /// (phases come back zeroed, i.e. scrubbed).
     ///
     /// # Errors
     ///
@@ -298,7 +294,6 @@ impl RoundReport {
                 quarantined: r.get_u64()?,
             },
             phases: PhaseBreakdown::default(),
-            metrics: Snapshot::default(),
         })
     }
 
@@ -311,7 +306,7 @@ impl RoundReport {
     }
 }
 
-/// The record of one aborted (rolled-back) transactional round.
+/// The record of the aborted round that stopped the server.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RoundAbort {
     /// The integrity violation that forced the abort.
@@ -319,19 +314,12 @@ pub struct RoundAbort {
     /// The bucket that exhausted its retry budget.
     pub node: u64,
     /// The partial report at abort time (its `integrity` field holds the
-    /// detections counted before the state was rewound).
+    /// detections the round counted).
     pub report: RoundReport,
 }
 
-/// Start-of-round copy of the ORAM state, restored on abort.
-#[derive(Clone, Debug)]
-struct RoundSnapshot {
-    main: RawOram<SsdBucketStore>,
-    buffer: BufferOram,
-}
-
 /// Snapshot of device stats at round start (to compute deltas).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct RoundState {
     report: RoundReport,
     ssd_before: DeviceStats,
@@ -340,7 +328,6 @@ struct RoundState {
     eo_before: u64,
     integrity_before: IntegrityStats,
     lost_ids: HashSet<u64>,
-    snapshot: Option<Box<RoundSnapshot>>,
 }
 
 /// Telemetry handles for the FL-facing side of the round pipeline.
@@ -352,8 +339,10 @@ struct FlTelemetry {
     upload_bytes: Counter,
     lost_serves: Counter,
     /// Committed-round wall time, as a histogram so interval views
-    /// ([`Snapshot::delta`]) can report a windowed p99 (the `round.phase.*`
-    /// gauges only carry the latest round).
+    /// ([`Snapshot::delta`]) can report a windowed p99 (the
+    /// `round.phase.*` gauges only carry the latest round).
+    ///
+    /// [`Snapshot::delta`]: fedora_telemetry::Snapshot::delta
     round_latency: Histogram,
     /// Monotonic liveness gauge: the durably committed round count, the
     /// round-pipeline equivalent of an `uptime_seconds` series (scrape it
@@ -473,7 +462,9 @@ pub struct FedoraServer {
     chunk_plan: ChunkPlan,
     accountant: FdpAccountant,
     active: Option<RoundState>,
-    aborts: Vec<RoundAbort>,
+    /// The abort that stopped the server, if one has: while set,
+    /// rounds, checkpoints and recovery are refused on this instance.
+    abort: Option<RoundAbort>,
     /// Entry ids whose blocks were destroyed by a bucket repair; they are
     /// excluded (served as lost) until re-initialized out of band.
     quarantined_ids: HashSet<u64>,
@@ -483,9 +474,8 @@ pub struct FedoraServer {
     /// Whether the cumulative-ε budget crossing has already been
     /// journaled (alarm mode fires `privacy.budget.exceeded` once).
     budget_flagged: bool,
-    /// Trace span covering the active round (tracing only). Held here
-    /// rather than in `RoundState` so the clonable state stays clonable;
-    /// closed on `end_round`, or on abort with an `aborted` attribute.
+    /// Trace span covering the active round (tracing only); closed on
+    /// `end_round`, or on abort with an `aborted` attribute.
     round_span: Option<TraceSpan>,
     /// Durably committed rounds: incremented only once a round's
     /// checkpoint is on disk (or immediately, when durability is off).
@@ -663,7 +653,7 @@ impl FedoraServer {
             chunk_plan,
             accountant: FdpAccountant::new(),
             active: None,
-            aborts: Vec::new(),
+            abort: None,
             quarantined_ids: HashSet::new(),
             registry,
             telemetry,
@@ -731,12 +721,6 @@ impl FedoraServer {
         &self.registry
     }
 
-    /// A full snapshot of the registry (counters, gauges, histogram
-    /// summaries, and journal events).
-    pub fn metrics_snapshot(&self) -> Snapshot {
-        self.registry.snapshot()
-    }
-
     /// The trace-span id of the active round, when a round is open and
     /// tracing is enabled (`None` otherwise). Network front ends parent
     /// per-request spans under this id so a request's span is causally
@@ -773,24 +757,22 @@ impl FedoraServer {
         &self.buffer
     }
 
-    /// Aborted (rolled-back) rounds, in order.
+    /// The aborted round that stopped this server: empty while it runs,
+    /// one record once an integrity failure has stopped it.
     pub fn aborts(&self) -> &[RoundAbort] {
-        &self.aborts
+        self.abort.as_slice()
     }
 
-    /// Cumulative main-ORAM integrity counters. Note: an abort rewinds
-    /// the store (and these counters) to the round-start snapshot; the
-    /// pre-rewind deltas live in [`Self::aborts`].
+    /// Cumulative main-ORAM integrity counters (an aborted round's
+    /// detections included).
     pub fn integrity_stats(&self) -> IntegrityStats {
         self.main.store().integrity_stats()
     }
 
     /// Attaches a shadow-mode access recorder to the main ORAM's SSD so
     /// the physical page-access sequence can be audited for obliviousness
-    /// (see [`AccessTraceRecorder`] and [`crate::audit`]). The recorder
-    /// handle is `Arc`-shared: it survives transactional snapshots and
-    /// rollbacks, so aborted rounds keep their (already observable)
-    /// accesses in the trace.
+    /// (see [`AccessTraceRecorder`] and [`crate::audit`]). An aborted
+    /// round's accesses stay in the trace: the bus saw them.
     ///
     /// Note: when the continuous empirical-ε refresher is enabled
     /// ([`WatchConfig::empirical_every_rounds`] > 0) the server re-arms
@@ -921,10 +903,12 @@ impl FedoraServer {
     ///
     /// # Errors
     ///
-    /// [`FedoraError::RoundInProgress`] during a round;
-    /// [`FedoraError::Durable`] when durability is off or the write
-    /// fails.
+    /// [`FedoraError::RoundAborted`] once stopped, so a stranded working
+    /// set never reaches disk; [`FedoraError::RoundInProgress`] during a
+    /// round; [`FedoraError::Durable`] when durability is off or the
+    /// write fails.
     pub fn checkpoint(&mut self) -> Result<CheckpointStats, FedoraError> {
+        self.refuse_if_stopped()?;
         if self.active.is_some() {
             return Err(FedoraError::RoundInProgress);
         }
@@ -963,6 +947,8 @@ impl FedoraServer {
     ///
     /// # Errors
     ///
+    /// [`FedoraError::RoundAborted`] on a stopped server (recover onto a
+    /// freshly built one instead);
     /// [`FedoraError::Durable`] with [`DurableError::NoCheckpoint`] when
     /// the directory holds none; `FedoraError::Oram` with
     /// [`IntegrityError::Rollback`] when the newest loadable checkpoint
@@ -971,6 +957,7 @@ impl FedoraServer {
     /// state); other [`FedoraError::Durable`] values on I/O or
     /// tampering.
     pub fn recover(&mut self, dir: &Path) -> Result<u64, FedoraError> {
+        self.refuse_if_stopped()?;
         if self.active.is_some() {
             return Err(FedoraError::RoundInProgress);
         }
@@ -1065,6 +1052,18 @@ impl FedoraServer {
     pub fn repair_bucket(&mut self, node: u64) -> Result<(), FedoraError> {
         self.main.repair_bucket(node)?;
         Ok(())
+    }
+
+    /// Once an integrity failure has stopped the server, returns the
+    /// stored [`FedoraError::RoundAborted`].
+    fn refuse_if_stopped(&self) -> Result<(), FedoraError> {
+        match &self.abort {
+            Some(a) => Err(FedoraError::RoundAborted {
+                kind: a.kind,
+                node: a.node,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Fires the armed crash point, if it matches: simulates a process
@@ -1206,14 +1205,19 @@ impl FedoraServer {
     ///
     /// # Errors
     ///
+    /// [`FedoraError::RoundAborted`] once an integrity failure has
+    /// stopped the server (this call's own failure included);
     /// [`FedoraError::TooManyRequests`] when `requests` exceeds the
-    /// provisioned maximum; [`FedoraError::RoundInProgress`] when called
-    /// twice without `end_round`; device errors propagate.
+    /// provisioned maximum; [`OramError::BlockOutOfRange`] for an id
+    /// outside the table, before anything is journaled or accessed;
+    /// [`FedoraError::RoundInProgress`] when called twice without
+    /// `end_round`; device errors propagate.
     pub fn begin_round<R: Rng>(
         &mut self,
         requests: &[u64],
         rng: &mut R,
     ) -> Result<RoundReport, FedoraError> {
+        self.refuse_if_stopped()?;
         if self.active.is_some() {
             return Err(FedoraError::RoundInProgress);
         }
@@ -1222,6 +1226,10 @@ impl FedoraServer {
                 got: requests.len(),
                 max: self.config.max_requests_per_round,
             });
+        }
+        let capacity = self.config.table.num_entries;
+        if let Some(&id) = requests.iter().find(|&&id| id >= capacity) {
+            return Err(OramError::BlockOutOfRange { id, capacity }.into());
         }
         // Enforcing budget mode: refuse the round up front — before any
         // event, span, or state change — when completing it would push the
@@ -1314,14 +1322,6 @@ impl FedoraServer {
             }
         }
         self.crash_check(CrashPoint::PostJournalBegin)?;
-        let snapshot = if self.config.fault_tolerance.transactional {
-            Some(Box::new(RoundSnapshot {
-                main: self.main.clone(),
-                buffer: self.buffer.clone(),
-            }))
-        } else {
-            None
-        };
         self.registry.event(
             "round.begin",
             &[
@@ -1349,7 +1349,6 @@ impl FedoraServer {
             eo_before: self.main.eo_count(),
             integrity_before: self.main.store().integrity_stats(),
             lost_ids: HashSet::new(),
-            snapshot,
         };
         match self.read_phase(requests, &mut state, rng) {
             Ok(()) => {
@@ -1458,11 +1457,12 @@ impl FedoraServer {
         Ok(())
     }
 
-    /// Handles a mid-round failure. Integrity failures under transactional
-    /// mode roll the ORAMs back to the round-start snapshot, heal the
-    /// offending bucket, and surface as [`FedoraError::RoundAborted`];
-    /// everything else propagates unchanged (non-transactional mode keeps
-    /// the cheap fail-fast behaviour).
+    /// Handles a mid-round failure. An integrity failure from either ORAM
+    /// stops the server: the round's ε is charged (its path reads were
+    /// observed), the abort is recorded, and [`FedoraError::RoundAborted`]
+    /// is returned now and by every later `begin_round`. Nothing is
+    /// rewound; crash recovery on a fresh server is the way back. Every
+    /// other error propagates unchanged.
     fn abort_round(&mut self, mut state: RoundState, err: FedoraError) -> FedoraError {
         // Any path through here ends the round attempt: close the round's
         // trace span (mid-round child spans already unwound via their own
@@ -1471,30 +1471,17 @@ impl FedoraServer {
         if let Some(mut span) = self.round_span.take() {
             span.attr("aborted", true);
         }
-        let FedoraError::Oram(OramError::Integrity { kind, node }) = err else {
+        let (FedoraError::Oram(OramError::Integrity { kind, node })
+        | FedoraError::Buffer(BufferError::Oram(OramError::Integrity { kind, node }))) = err
+        else {
             return err;
         };
-        let Some(snap) = state.snapshot.take() else {
-            return err;
-        };
-        // Record what this round observed before rewinding the counters.
+        self.charge_round_epsilon();
         state.report.integrity = self
             .main
             .store()
             .integrity_stats()
             .since(&state.integrity_before);
-        // Probe the failed bucket before rewinding: an in-flight fault
-        // heals on re-read (no repair needed), while persistent damage
-        // predates the snapshot, survives the restore, and must be
-        // repaired on the restored state or every retry aborts again.
-        let persistent = self.main.read_bucket(node).is_err();
-        self.main = snap.main;
-        self.buffer = snap.buffer;
-        if persistent {
-            if let Err(e) = self.main.repair_bucket(node) {
-                return FedoraError::Oram(e);
-            }
-        }
         self.telemetry.rounds_aborted.incr();
         self.registry.event(
             "round.abort",
@@ -1502,15 +1489,46 @@ impl FedoraServer {
                 ("round", self.committed_rounds.into()),
                 ("node", node.into()),
                 ("kind", format!("{kind:?}").into()),
-                ("persistent", persistent.into()),
             ],
         );
-        self.aborts.push(RoundAbort {
+        self.abort = Some(RoundAbort {
             kind,
             node,
             report: state.report,
         });
         FedoraError::RoundAborted { kind, node }
+    }
+
+    /// Charges one round's ε to the accountant and publishes the ledger:
+    /// `fdp.round.epsilon`, `fdp.total.epsilon`, `fdp.rounds`, and the
+    /// one-shot budget alarm. Committed and aborted rounds both pay.
+    fn charge_round_epsilon(&mut self) {
+        let round_epsilon = self.config.privacy.mechanism.epsilon();
+        if self.accountant.record_round(round_epsilon) {
+            self.ledger.round_epsilon.set(round_epsilon);
+        } else {
+            self.ledger.poisoned.incr();
+        }
+        self.ledger
+            .total_epsilon
+            .set(self.accountant.total_epsilon());
+        self.ledger.rounds.set_u64(self.accountant.rounds() as u64);
+        if !self.budget_flagged {
+            if let Some(max) = self.config.privacy_budget.max_total_epsilon {
+                let spent = self.accountant.total_epsilon();
+                if spent > max {
+                    self.budget_flagged = true;
+                    self.registry.event(
+                        "privacy.budget.exceeded",
+                        &[
+                            ("round", self.committed_rounds.into()),
+                            ("spent", spent.into()),
+                            ("budget", max.into()),
+                        ],
+                    );
+                }
+            }
+        }
     }
 
     /// Step ④: serves one user request from the buffer ORAM. Returns
@@ -1675,39 +1693,11 @@ impl FedoraServer {
             .store()
             .integrity_stats()
             .since(&state.integrity_before);
-        let round_epsilon = self.config.privacy.mechanism.epsilon();
-        if self.accountant.record_round(round_epsilon) {
-            self.ledger.round_epsilon.set(round_epsilon);
-        } else {
-            self.ledger.poisoned.incr();
-        }
-        // Publish the ledger *before* the report snapshot below so
-        // `fdp.total.epsilon` on every RoundReport equals the accountant's
-        // total at that round exactly (the acceptance invariant).
-        self.ledger
-            .total_epsilon
-            .set(self.accountant.total_epsilon());
-        self.ledger.rounds.set_u64(self.accountant.rounds() as u64);
+        self.charge_round_epsilon();
         self.ledger.dummies.add(state.report.dummies as u64);
         self.ledger.lost.add(state.report.lost as u64);
         self.ledger.k_union.set_u64(state.report.k_union as u64);
         self.ledger.k_overhead.record(state.report.dummies as u64);
-        if !self.budget_flagged {
-            if let Some(max) = self.config.privacy_budget.max_total_epsilon {
-                let spent = self.accountant.total_epsilon();
-                if spent > max {
-                    self.budget_flagged = true;
-                    self.registry.event(
-                        "privacy.budget.exceeded",
-                        &[
-                            ("round", self.committed_rounds.into()),
-                            ("spent", spent.into()),
-                            ("budget", max.into()),
-                        ],
-                    );
-                }
-            }
-        }
         self.telemetry.rounds_completed.incr();
         let write_ns = write_started.elapsed().as_nanos() as u64;
         state.report.phases.write_ns = write_ns;
@@ -1725,7 +1715,6 @@ impl FedoraServer {
                 ("eo_accesses", state.report.eo_accesses.into()),
             ],
         );
-        state.report.metrics = self.registry.snapshot_lite();
         // Durable commit: the round counts as committed once its
         // checkpoint is on disk; the journal commit record then seals it.
         // The mode's optimizer state (Adam moments, LazyDP staleness)
@@ -1858,6 +1847,8 @@ impl FedoraServer {
     /// journal one `watch.alarm.*` event per tripped rule. The sample's own
     /// cost lands in the `watch.sample.ns` histogram so the overhead claim
     /// is itself measurable.
+    ///
+    /// [`Snapshot::delta`]: fedora_telemetry::Snapshot::delta
     fn maybe_watch_sample(&mut self) {
         let cfg = self.config.watch;
         if !cfg.is_enabled() || !self.committed_rounds.is_multiple_of(cfg.every_rounds) {
@@ -1938,8 +1929,8 @@ impl FedoraServer {
     }
 
     /// Mirrors the latest round's phase breakdown into `round.phase.*`
-    /// gauges so flat metric consumers (BENCH files, CSV) see it without
-    /// parsing reports.
+    /// gauges so flat metric consumers (BENCH files, scrapes) see it
+    /// without parsing reports.
     fn publish_phase_gauges(&self, phases: &PhaseBreakdown) {
         if !self.registry.is_enabled() {
             return;
@@ -2066,7 +2057,7 @@ mod tests {
         let report = s.watch_report().expect("sampled every round");
         assert_eq!((report.round, report.window_rounds), (2, 1));
         assert!(report.round_p99_ns > 0);
-        let snap = s.metrics_snapshot();
+        let snap = s.registry().snapshot();
         assert_eq!(snap.counter("net.requests"), None);
         assert_eq!(snap.counter("net.shed.requests"), None);
     }
@@ -2179,6 +2170,25 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_ids_rejected_before_any_access() {
+        let (mut s, mut rng) = server(None);
+        let pages_before = s.ssd_stats().pages_read;
+        assert_eq!(
+            s.begin_round(&[1, 2, 3, 5000], &mut rng).unwrap_err(),
+            FedoraError::Oram(OramError::BlockOutOfRange {
+                id: 5000,
+                capacity: 128
+            })
+        );
+        assert_eq!(s.ssd_stats().pages_read, pages_before, "no path was read");
+        assert_eq!(s.buffer_oram().loaded_len(), 0, "nothing was stranded");
+        assert!(!s.round_active());
+        s.begin_round(&[1, 2, 3], &mut rng).unwrap();
+        s.end_round(&mut FedAvg, 1.0, &mut rng).unwrap();
+        assert_eq!(s.committed_rounds(), 1);
+    }
+
+    #[test]
     fn too_many_requests_rejected() {
         let (mut s, mut rng) = server(None);
         let reqs: Vec<u64> = (0..65).map(|i| i % 128).collect();
@@ -2254,13 +2264,58 @@ mod tests {
         assert!(s.fault_stats().transients > 0);
     }
 
+    /// There is no in-process rollback: an integrity error that outlives
+    /// the retries propagates as `RoundAborted` and stops the server.
+    #[test]
+    fn non_transactional_integrity_error_propagates() {
+        let (mut s, mut rng) = server(Some(1.0));
+        s.begin_round(&[1, 2, 3], &mut rng).unwrap();
+        s.end_round(&mut FedAvg, 1.0, &mut rng).unwrap();
+        assert_eq!(s.accountant().total_epsilon(), 1.0);
+
+        // Every read attempt gets an in-flight bit flip: the retry budget
+        // exhausts and the round aborts.
+        s.arm_faults(FaultConfig::chaos(11, 1.0, 0.0, 0.0));
+        let reqs = [10u64, 20, 30];
+        let err = s.begin_round(&reqs, &mut rng).unwrap_err();
+        let FedoraError::RoundAborted { kind, node } = err else {
+            panic!("expected RoundAborted, got {err}");
+        };
+        assert_eq!(s.aborts().len(), 1);
+        assert_eq!((s.aborts()[0].kind, s.aborts()[0].node), (kind, node));
+        assert!(s.aborts()[0].report.integrity.detected_corruption > 0);
+        assert_eq!(s.committed_rounds(), 1, "aborted round must not complete");
+        // The round's path reads were observed, so its ε is charged.
+        assert_eq!(s.accountant().total_epsilon(), 2.0);
+        // Nothing rewinds: the device counters still equal the registry's.
+        let pages_read = s.registry().counter_value("storage.pages_read");
+        assert_eq!(pages_read, Some(s.ssd_stats().pages_read));
+
+        // Stopped: rounds and checkpoints are refused the same way, with
+        // no further charge, even once the faults are gone.
+        s.disarm_faults();
+        let pages_before = s.ssd_stats().pages_read;
+        for _ in 0..2 {
+            assert_eq!(s.begin_round(&reqs, &mut rng).unwrap_err(), err);
+        }
+        assert_eq!(s.checkpoint().unwrap_err(), err);
+        assert_eq!(s.ssd_stats().pages_read, pages_before);
+        assert_eq!(s.accountant().total_epsilon(), 2.0);
+        assert_eq!(s.aborts().len(), 1);
+        let snap = s.registry().snapshot();
+        assert_eq!(snap.counter("fl.rounds.aborted"), Some(1));
+        assert_eq!(snap.gauge("fdp.total.epsilon"), Some(2.0));
+        assert_eq!(snap.gauge("fdp.rounds"), Some(2.0));
+    }
+
+    /// An aborted round rolls back the one way there is: the stopped
+    /// server is dropped, a fresh one recovers the last commit from the
+    /// checkpoint, and the same round then commits with correct data.
     #[test]
     fn transactional_round_aborts_rolls_back_and_recovers() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut config = FedoraConfig::for_testing(TableSpec::tiny(128), 64);
-        config.privacy = PrivacyConfig::none();
-        config.fault_tolerance = crate::config::FaultToleranceConfig::transactional();
-        let mut s = FedoraServer::new(config, |id| vec![id as u8; 32], &mut rng);
+        let dir = temp_state_dir("abort-recover");
+        let (mut s, mut rng) = durable_server_with(None, &dir, 1);
+        let before = s.snapshot_table(&mut rng).unwrap();
 
         // Every read attempt gets an in-flight bit flip: the retry budget
         // exhausts and the round must abort.
@@ -2270,41 +2325,25 @@ mod tests {
         assert!(matches!(err, FedoraError::RoundAborted { .. }), "{err}");
         assert_eq!(s.aborts().len(), 1);
         assert!(s.aborts()[0].report.integrity.detected_corruption > 0);
-        assert_eq!(s.committed_rounds(), 0, "aborted round must not complete");
+        assert_eq!(s.committed_rounds(), 1, "aborted round must not complete");
+        drop(s);
 
-        // The rollback restored a consistent state: with injection off the
-        // same round succeeds and serves correct data (entries that lived
-        // in a repaired bucket degrade to lost, never to wrong bytes).
-        s.disarm_faults();
+        let (mut t, mut rng) = server(None);
+        assert_eq!(t.recover(&dir).unwrap(), 1);
+        assert!(t.aborts().is_empty());
+        assert_eq!(t.snapshot_table(&mut rng).unwrap(), before);
         let mut mode = FedAvg;
         for _ in 0..3 {
-            s.begin_round(&reqs, &mut rng).unwrap();
+            t.begin_round(&reqs, &mut rng).unwrap();
             for &id in &reqs {
-                if let Some(bytes) = s.serve(id, &mut rng).unwrap() {
-                    assert_eq!(bytes, vec![id as u8; 32]);
-                } else {
-                    assert!(s.quarantined_entries().contains(&id));
-                }
+                let bytes = t.serve(id, &mut rng).unwrap();
+                assert_eq!(bytes.as_ref(), Some(&before[id as usize]), "entry {id}");
             }
-            s.end_round(&mut mode, 1.0, &mut rng).unwrap();
+            t.end_round(&mut mode, 1.0, &mut rng).unwrap();
         }
-        assert_eq!(s.committed_rounds(), 3, "forward progress after the abort");
-    }
-
-    #[test]
-    fn non_transactional_integrity_error_propagates() {
-        let mut rng = StdRng::seed_from_u64(29);
-        let mut config = FedoraConfig::for_testing(TableSpec::tiny(128), 64);
-        config.privacy = PrivacyConfig::none();
-        config.fault_tolerance.max_read_retries = 0;
-        let mut s = FedoraServer::new(config, |id| vec![id as u8; 32], &mut rng);
-        s.arm_faults(FaultConfig::chaos(13, 1.0, 0.0, 0.0));
-        let err = s.begin_round(&[1, 2], &mut rng).unwrap_err();
-        assert!(
-            matches!(err, FedoraError::Oram(OramError::Integrity { .. })),
-            "no transaction: the raw error surfaces ({err})"
-        );
-        assert!(s.aborts().is_empty());
+        assert_eq!(t.committed_rounds(), 4, "forward progress after the abort");
+        assert!(t.scrub().unwrap().is_clean());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -2337,7 +2376,7 @@ mod tests {
     }
 
     #[test]
-    fn round_report_carries_metrics_snapshot() {
+    fn registry_after_round_carries_headline_series() {
         let (mut s, mut rng) = server(None);
         assert!(s.registry().is_enabled());
         s.begin_round(&[1, 2, 3, 1], &mut rng).unwrap();
@@ -2345,8 +2384,8 @@ mod tests {
         let mode = FedAvg;
         s.aggregate(&mode, 1, &[0.5; 8], 1, &mut rng).unwrap();
         let mut mode = FedAvg;
-        let report = s.end_round(&mut mode, 1.0, &mut rng).unwrap();
-        let m = &report.metrics;
+        s.end_round(&mut mode, 1.0, &mut rng).unwrap();
+        let m = &s.registry().snapshot();
         // Acceptance keys: all present and coherent with the report.
         let access = m.histogram("oram.access.latency").expect("latency hist");
         assert!(access.count > 0);
@@ -2364,12 +2403,8 @@ mod tests {
         assert_eq!(m.counter("fl.round.download_bytes"), Some(32));
         assert_eq!(m.counter("integrity.retries"), Some(0));
         assert_eq!(m.counter("fl.rounds.completed"), Some(1));
-        // Lite snapshot: the journal stays out of per-round reports…
-        assert!(m.events.is_empty());
-        // …but the full snapshot has begin/end events.
-        let full = s.metrics_snapshot();
-        assert!(full.events.iter().any(|e| e.name == "round.begin"));
-        assert!(full.events.iter().any(|e| e.name == "round.end"));
+        assert!(m.events.iter().any(|e| e.name == "round.begin"));
+        assert!(m.events.iter().any(|e| e.name == "round.end"));
     }
 
     #[test]
@@ -2378,8 +2413,9 @@ mod tests {
         s.arm_faults(FaultConfig::chaos(7, 0.0, 0.0, 1.0));
         s.begin_round(&[3, 4, 5], &mut rng).unwrap();
         let mut mode = FedAvg;
-        let report = s.end_round(&mut mode, 1.0, &mut rng).unwrap();
-        assert!(report.metrics.counter("integrity.retries").unwrap_or(0) > 0);
+        s.end_round(&mut mode, 1.0, &mut rng).unwrap();
+        let retries = s.registry().counter_value("integrity.retries");
+        assert!(retries.unwrap_or(0) > 0);
     }
 
     #[test]
@@ -2397,8 +2433,10 @@ mod tests {
         s.begin_round(&[1, 2], &mut rng).unwrap();
         let mut mode = FedAvg;
         let report = s.end_round(&mut mode, 1.0, &mut rng).unwrap();
-        assert_eq!(report.metrics, fedora_telemetry::Snapshot::default());
-        assert_eq!(s.metrics_snapshot(), fedora_telemetry::Snapshot::default());
+        assert_eq!(
+            s.registry().snapshot(),
+            fedora_telemetry::Snapshot::default()
+        );
         // The pipeline itself is unaffected.
         assert_eq!(report.k_requests, 2);
     }
@@ -2409,12 +2447,13 @@ mod tests {
         let mut mode = FedAvg;
         for round in 1..=3u64 {
             s.begin_round(&[1, 2, 3, 2], &mut rng).unwrap();
-            let report = s.end_round(&mut mode, 1.0, &mut rng).unwrap();
-            let total = report.metrics.gauge("fdp.total.epsilon");
+            s.end_round(&mut mode, 1.0, &mut rng).unwrap();
+            let m = s.registry().snapshot();
+            let total = m.gauge("fdp.total.epsilon");
             assert_eq!(total, Some(s.accountant().total_epsilon()));
-            assert_eq!(report.metrics.gauge("fdp.rounds"), Some(round as f64));
+            assert_eq!(m.gauge("fdp.rounds"), Some(round as f64));
         }
-        let m = s.metrics_snapshot();
+        let m = s.registry().snapshot();
         assert_eq!(m.gauge("fdp.round.epsilon"), Some(0.5));
         assert_eq!(m.gauge("fdp.mechanism.epsilon"), Some(0.5));
         assert_eq!(m.counter("fdp.ledger.poisoned"), Some(0));
@@ -2425,8 +2464,8 @@ mod tests {
         let (mut s, mut rng) = server(Some(0.0)); // perfect: k = K, dummies > 0
         s.begin_round(&[7, 7, 7, 9], &mut rng).unwrap();
         let mut mode = FedAvg;
-        let report = s.end_round(&mut mode, 1.0, &mut rng).unwrap();
-        let m = &report.metrics;
+        s.end_round(&mut mode, 1.0, &mut rng).unwrap();
+        let m = &s.registry().snapshot();
         // Lookups always resolve (the tag affects exporters only)…
         assert_eq!(m.counter("fdp.dummies.total"), Some(2));
         assert_eq!(m.gauge("fdp.round.k_union"), Some(2.0));
@@ -2456,7 +2495,7 @@ mod tests {
         }
         // 4 rounds at ε=1.0 cross the 2.5 ceiling at round 3; the alarm
         // journals exactly once and never refuses a round.
-        let m = s.metrics_snapshot();
+        let m = s.registry().snapshot();
         let crossings: Vec<_> = m
             .events
             .iter()
@@ -2494,7 +2533,7 @@ mod tests {
         );
         assert_eq!(s.accountant().total_epsilon(), 2.0);
         assert_eq!(s.committed_rounds(), 2);
-        let m = s.metrics_snapshot();
+        let m = s.registry().snapshot();
         assert_eq!(m.counter("fdp.budget.refused_rounds"), Some(1));
         assert!(m.events.iter().any(|e| e.name == "privacy.budget.refused"));
         // A refused round leaves no active round behind.
@@ -2849,7 +2888,7 @@ mod tests {
             config.parallelism = ParallelismConfig::with_threads(threads);
             let s = FedoraServer::new(config, |id| vec![id as u8; 32], &mut rng);
             let (s, _) = run_durable(s, rng, &dir, 2);
-            let m = s.metrics_snapshot();
+            let m = s.registry().snapshot();
             // Baseline checkpoint + one per committed round.
             assert_eq!(
                 m.counter("durable.checkpoints"),
@@ -2885,7 +2924,7 @@ mod tests {
                 let _ = s.serve(id, &mut rng).unwrap();
             }
             s.end_round(&mut mode, 1.0, &mut rng).unwrap();
-            let bytes = s.metrics_snapshot().gauge("durable.checkpoint.bytes");
+            let bytes = s.registry().snapshot().gauge("durable.checkpoint.bytes");
             sizes.push(bytes.unwrap_or(0.0));
         }
         let growth = sizes[39] - sizes[0];

@@ -78,7 +78,7 @@ COMMANDS:
 
 Every command also accepts --metrics-out PATH to write a telemetry
 snapshot (counters, gauges, histogram percentiles, event journal),
---metrics-format json|csv|prom to pick its serialization (single-line
+--metrics-format json|prom to pick its serialization (single-line
 JSON by default; audit-only series are redacted in every format), and
 --trace-out PATH to capture causal spans as Chrome trace-event JSON
 (open in https://ui.perfetto.dev). For `round` these reflect the live
@@ -124,11 +124,10 @@ fn write_metrics(flags: &HashMap<String, String>, snapshot: &Snapshot) -> Result
         let target = std::path::Path::new(path);
         match format {
             "json" => snapshot.write_json(target),
-            "csv" => snapshot.write_csv(target),
             "prom" | "prometheus" => snapshot.write_prometheus(target),
             other => {
                 return Err(format!(
-                    "--metrics-format: unknown format '{other}' (json|csv|prom)"
+                    "--metrics-format: unknown format '{other}' (json|prom)"
                 ))
             }
         }
@@ -341,7 +340,7 @@ fn cmd_checkpoint(flags: &HashMap<String, String>) -> Result<(), String> {
         stats.bytes,
         stats.ns as f64 / 1e6
     );
-    write_metrics(flags, &server.metrics_snapshot())
+    write_metrics(flags, &server.registry().snapshot())
 }
 
 fn cmd_restore(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -366,7 +365,7 @@ fn cmd_restore(flags: &HashMap<String, String>) -> Result<(), String> {
             report.k_requests, report.k_union, report.k_accesses, report.dummies
         );
     }
-    write_metrics(flags, &server.metrics_snapshot())
+    write_metrics(flags, &server.registry().snapshot())
 }
 
 fn effective_k(k_requests: u64, epsilon: f64) -> u64 {
@@ -541,7 +540,7 @@ fn cmd_round(flags: &HashMap<String, String>) -> Result<(), String> {
         phases.write_ns as f64 / 1e6,
         phases.round_ns as f64 / 1e6,
     );
-    write_metrics(flags, &server.metrics_snapshot())
+    write_metrics(flags, &server.registry().snapshot())
 }
 
 /// Runs the `fedora-net` front end over a live pipeline server until a

@@ -132,8 +132,6 @@ pub enum Request {
         /// lowercase-hex string.
         trace: Option<u64>,
     },
-    /// Admin: return a metrics snapshot.
-    Metrics,
     /// Admin: liveness + round status.
     Health,
     /// Admin: return the latest watch-plane report.
@@ -153,8 +151,6 @@ pub enum Request {
         /// Most events wanted; the server clamps to [`MAX_TAIL_EVENTS`].
         max: u64,
     },
-    /// Admin: force a durable checkpoint.
-    Checkpoint,
     /// Admin: drain in-flight rounds and stop the server.
     Shutdown,
 }
@@ -174,11 +170,6 @@ pub enum Response {
         round: u64,
         /// Serialized row bytes per requested entry.
         rows: Vec<Option<Vec<u8>>>,
-    },
-    /// Metrics snapshot as a JSON document.
-    MetricsOk {
-        /// The snapshot, in the same shape `--metrics-out` writes.
-        metrics: Json,
     },
     /// Liveness report.
     HealthOk {
@@ -220,13 +211,6 @@ pub enum Response {
         /// detector: a cursor older than `seq` of the first event means
         /// the window in between is gone.
         dropped: u64,
-    },
-    /// Checkpoint written.
-    CheckpointOk {
-        /// Checkpoint generation number.
-        generation: u64,
-        /// Bytes written.
-        bytes: u64,
     },
     /// The server is draining; no new work is accepted.
     ShuttingDown,
@@ -384,7 +368,6 @@ pub fn encode_request(seq: u64, req: &Request) -> Vec<u8> {
             }
             envelope(seq, "train", members)
         }
-        Request::Metrics => envelope(seq, "metrics", vec![]),
         Request::Health => envelope(seq, "health", vec![]),
         Request::Watch => envelope(seq, "watch", vec![]),
         Request::Scrape { format } => envelope(
@@ -409,7 +392,6 @@ pub fn encode_request(seq: u64, req: &Request) -> Vec<u8> {
                 ("max".to_owned(), Json::Num(*max as f64)),
             ],
         ),
-        Request::Checkpoint => envelope(seq, "checkpoint", vec![]),
         Request::Shutdown => envelope(seq, "shutdown", vec![]),
     }
 }
@@ -439,11 +421,6 @@ pub fn encode_response(seq: u64, resp: &Response) -> Vec<u8> {
                     ),
                 ),
             ],
-        ),
-        Response::MetricsOk { metrics } => envelope(
-            seq,
-            "metrics_ok",
-            vec![("metrics".to_owned(), metrics.clone())],
         ),
         Response::HealthOk {
             committed_rounds,
@@ -536,14 +513,6 @@ pub fn encode_response(seq: u64, resp: &Response) -> Vec<u8> {
                 ("dropped".to_owned(), Json::Num(*dropped as f64)),
             ],
         ),
-        Response::CheckpointOk { generation, bytes } => envelope(
-            seq,
-            "checkpoint_ok",
-            vec![
-                ("generation".to_owned(), Json::Num(*generation as f64)),
-                ("bytes".to_owned(), Json::Num(*bytes as f64)),
-            ],
-        ),
         Response::ShuttingDown => envelope(seq, "shutting_down", vec![]),
         Response::Overloaded => envelope(seq, "overloaded", vec![]),
         Response::Error { kind, message } => envelope(
@@ -611,7 +580,6 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), ProtoError> {
                 trace: decode_trace(&doc)?,
             }
         }
-        "metrics" => Request::Metrics,
         "health" => Request::Health,
         "watch" => Request::Watch,
         "scrape" => Request::Scrape {
@@ -625,7 +593,6 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), ProtoError> {
             cursor: get_u64(&doc, "cursor", "missing tail cursor")?,
             max: get_u64(&doc, "max", "missing tail max")?,
         },
-        "checkpoint" => Request::Checkpoint,
         "shutdown" => Request::Shutdown,
         _ => return Err(ProtoError::Schema("unknown request type")),
     };
@@ -671,12 +638,6 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ProtoError> {
                 .collect::<Result<Vec<_>, _>>()?;
             Response::TrainOk { round, rows }
         }
-        "metrics_ok" => Response::MetricsOk {
-            metrics: doc
-                .get("metrics")
-                .cloned()
-                .ok_or(ProtoError::Schema("missing metrics"))?,
-        },
         "health_ok" => Response::HealthOk {
             committed_rounds: doc
                 .get("committed_rounds")
@@ -783,16 +744,6 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ProtoError> {
                 dropped: get_u64(&doc, "dropped", "missing dropped")?,
             }
         }
-        "checkpoint_ok" => Response::CheckpointOk {
-            generation: doc
-                .get("generation")
-                .and_then(Json::as_u64)
-                .ok_or(ProtoError::Schema("missing generation"))?,
-            bytes: doc
-                .get("bytes")
-                .and_then(Json::as_u64)
-                .ok_or(ProtoError::Schema("missing bytes"))?,
-        },
         "shutting_down" => Response::ShuttingDown,
         "overloaded" => Response::Overloaded,
         "error" => Response::Error {
@@ -833,7 +784,6 @@ mod tests {
                 updates: vec![vec![3]],
                 trace: Some(u64::MAX),
             },
-            Request::Metrics,
             Request::Health,
             Request::Watch,
             Request::Scrape {
@@ -846,7 +796,6 @@ mod tests {
                 cursor: 0,
                 max: 256,
             },
-            Request::Checkpoint,
             Request::Shutdown,
         ];
         for (seq, req) in cases.into_iter().enumerate() {
@@ -862,9 +811,6 @@ mod tests {
             Response::TrainOk {
                 round: 12,
                 rows: vec![Some(vec![0x00, 0xff, 0xa5]), None, Some(vec![])],
-            },
-            Response::MetricsOk {
-                metrics: json::parse(r#"{"counters": {"a": 1}}"#).unwrap(),
             },
             Response::HealthOk {
                 committed_rounds: 7,
@@ -929,10 +875,6 @@ mod tests {
                 events: vec![],
                 next_cursor: 0,
                 dropped: 0,
-            },
-            Response::CheckpointOk {
-                generation: 2,
-                bytes: 4096,
             },
             Response::ShuttingDown,
             Response::Overloaded,

@@ -8,8 +8,8 @@
 //!   [`Response::Overloaded`] frame and closes (counted in
 //!   `net.shed.connections`);
 //! * a **reader** thread per connection parses frames and requests.
-//!   Registration, health, and metrics are answered inline; train and
-//!   checkpoint work is pushed onto a **bounded** job queue with
+//!   Registration, health, watch, scrape, and tail are answered inline;
+//!   train work is pushed onto a **bounded** job queue with
 //!   `try_send` — a full queue yields an immediate
 //!   [`Response::Overloaded`] (`net.shed.requests`), never an unbounded
 //!   buffer. Malformed frames or requests get a typed error reply and the
@@ -41,7 +41,6 @@ use fedora::FedoraServer;
 use fedora_fl::wire;
 use fedora_fl::FedAvg;
 use fedora_storage::splitmix64;
-use fedora_telemetry::json::{self, Json};
 use fedora_telemetry::{Counter, Event, Histogram, Registry, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -54,7 +53,7 @@ use crate::proto::{self, Request, Response, ScrapeFormat, TailEvent};
 pub struct NetConfig {
     /// Most simultaneous connections before new ones are shed.
     pub max_connections: usize,
-    /// Bound on the train/checkpoint job queue; a full queue sheds with
+    /// Bound on the train job queue; a full queue sheds with
     /// [`Response::Overloaded`].
     pub queue_depth: usize,
     /// Frame payload ceiling (see [`frame::MAX_FRAME_BYTES`]).
@@ -190,7 +189,6 @@ struct TrainJob {
 
 enum Job {
     Train(TrainJob),
-    Checkpoint { seq: u64, conn: ConnWriter },
     Shutdown,
 }
 
@@ -468,16 +466,6 @@ fn run_reader(
                 };
                 writer.send(seq, &Response::WatchOk { report });
             }
-            Request::Metrics => {
-                let text = registry.snapshot().to_json();
-                let metrics_doc = json::parse(&text).unwrap_or(Json::Null);
-                writer.send(
-                    seq,
-                    &Response::MetricsOk {
-                        metrics: metrics_doc,
-                    },
-                );
-            }
             Request::Scrape { format } => {
                 // Served on the reader thread: a snapshot is read-only
                 // against the registry, so scrapes never queue behind (or
@@ -510,22 +498,6 @@ fn run_reader(
                 shared.shutdown.store(true, Ordering::SeqCst);
                 let _ = tx.send(Job::Shutdown);
                 writer.send(seq, &Response::ShuttingDown);
-            }
-            Request::Checkpoint => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    writer.send(seq, &Response::ShuttingDown);
-                    continue;
-                }
-                enqueue(
-                    &tx,
-                    Job::Checkpoint {
-                        seq,
-                        conn: writer.clone(),
-                    },
-                    seq,
-                    &writer,
-                    &metrics,
-                );
             }
             Request::Train {
                 client,
@@ -656,25 +628,6 @@ fn run_engine(
                 return EngineOutcome::Drained {
                     committed_rounds: server.committed_rounds(),
                 }
-            }
-            Job::Checkpoint { seq, conn } => {
-                match server.checkpoint() {
-                    Ok(stats) => conn.send(
-                        seq,
-                        &Response::CheckpointOk {
-                            generation: stats.generation,
-                            bytes: stats.bytes,
-                        },
-                    ),
-                    Err(e) => conn.send(
-                        seq,
-                        &Response::Error {
-                            kind: "server".to_owned(),
-                            message: e.to_string(),
-                        },
-                    ),
-                }
-                continue;
             }
             Job::Train(job) => job,
         };

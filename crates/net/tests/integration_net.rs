@@ -243,9 +243,9 @@ fn crash_mid_round_recovers_to_last_commit_without_torn_sessions() {
     train_once(&mut client, 1, &[4, 40]);
     train_once(&mut client, 1, &[5, 50]);
 
-    // Arm a crash for the *next* round via the admin checkpoint path's
-    // sibling: there is no wire surface for fault injection (by design),
-    // so this test reaches the engine through a pre-armed server instead.
+    // Arm a crash for the *next* round: there is no wire surface for
+    // fault injection (by design), so this test reaches the engine
+    // through a pre-armed server instead.
     drop(client);
     handle.shutdown_and_join();
 

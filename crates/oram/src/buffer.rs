@@ -78,7 +78,7 @@ pub struct AggregatedEntry {
 }
 
 /// Telemetry handles for the buffer ORAM's per-round protocol steps.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct BufferTelemetry {
     registry: Registry,
     loads: Counter,
@@ -98,7 +98,6 @@ impl BufferTelemetry {
 }
 
 /// The buffer ORAM.
-#[derive(Clone)]
 pub struct BufferOram {
     oram: PathOram<DramBucketStore>,
     entry_bytes: usize,

@@ -18,7 +18,7 @@ use crate::store::BucketStore;
 use crate::OramError;
 
 /// A Path ORAM over any [`BucketStore`].
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct PathOram<S: BucketStore> {
     store: S,
     position: PositionMap,

@@ -9,7 +9,7 @@ use fedora_storage::{ByteReader, ByteWriter, CodecError};
 use rand::Rng;
 
 /// Dense position map for `n` blocks.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct PositionMap {
     leaves: Vec<u64>,
 }

@@ -68,7 +68,7 @@ impl Default for RawOramConfig {
 /// Telemetry handles for the RAW ORAM's own operations. Latencies are host
 /// wall-clock nanoseconds of the whole operation (the simulated device time
 /// stays in `DeviceStats`); the clock is never read when detached.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct OramTelemetry {
     access_latency: Histogram,
     eviction_latency: Histogram,
@@ -104,7 +104,7 @@ impl OramTelemetry {
 }
 
 /// A RAW ORAM over any [`BucketStore`], with VTree-backed valid flags.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct RawOram<S: BucketStore> {
     store: S,
     position: PositionMap,
@@ -299,8 +299,7 @@ impl<S: BucketStore> RawOram<S> {
         }
     }
 
-    /// Reads and decrypts one bucket at its current counter (scrubbing,
-    /// and probing a bucket that failed mid-round).
+    /// Reads and decrypts one bucket at its current counter (scrubbing).
     ///
     /// # Errors
     ///

@@ -10,7 +10,7 @@ use crate::block::Block;
 use fedora_storage::{ByteReader, ByteWriter, CodecError};
 
 /// A stash with occupancy tracking.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Stash {
     blocks: Vec<Block>,
     high_water: usize,

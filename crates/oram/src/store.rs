@@ -191,10 +191,10 @@ pub trait BucketStore {
 
 /// Telemetry handles mirroring [`IntegrityStats`] into a registry.
 ///
-/// Unlike [`IntegrityStats`] — which transactional rounds snapshot and
-/// roll back — these counters are monotonic: they keep the full fault
-/// history across round aborts.
-#[derive(Clone, Debug, Default)]
+/// Unlike [`IntegrityStats`], which checkpoints persist and recovery
+/// restores, these counters are monotonic registry series: they keep the
+/// process's full fault history.
+#[derive(Debug, Default)]
 struct IntegrityTelemetry {
     registry: Registry,
     retries: Counter,
@@ -272,7 +272,7 @@ fn classify(
 }
 
 /// Bucket store over the simulated SSD (page-granular, batched I/O).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct SsdBucketStore {
     geometry: TreeGeometry,
     aead: ChaCha20Poly1305,
@@ -709,7 +709,7 @@ impl BucketStore for SsdBucketStore {
 }
 
 /// Bucket store over simulated DRAM (byte-granular).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct DramBucketStore {
     geometry: TreeGeometry,
     aead: ChaCha20Poly1305,

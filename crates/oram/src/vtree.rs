@@ -20,7 +20,7 @@ use fedora_telemetry::{Counter, Registry};
 use crate::geometry::TreeGeometry;
 
 /// Per-slot valid bits for an ORAM tree, stored in simulated DRAM.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct VTree {
     geometry: TreeGeometry,
     dram: SimDram,

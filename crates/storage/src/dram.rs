@@ -50,7 +50,7 @@ impl std::error::Error for DramOutOfRange {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct SimDram {
     profile: DramProfile,
     bytes: Vec<u8>,

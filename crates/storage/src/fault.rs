@@ -120,7 +120,7 @@ pub enum InjectedFault {
 }
 
 /// A seeded, rate-configurable fault injector (see module docs).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct FaultInjector {
     config: FaultConfig,
     rng_state: u64,

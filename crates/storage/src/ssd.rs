@@ -70,7 +70,7 @@ impl std::error::Error for SsdError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct SimSsd {
     profile: SsdProfile,
     pages: Vec<u8>,

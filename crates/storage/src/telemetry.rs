@@ -14,8 +14,7 @@ use fedora_telemetry::{Counter, Histogram, Registry};
 /// Registry handles mirroring one device's read/write/fault traffic.
 ///
 /// Cloning shares the underlying instruments (a cloned device keeps feeding
-/// the same counters — telemetry is monotonic even across transactional
-/// snapshot/rollback of the owning structure).
+/// the same counters).
 #[derive(Clone, Debug, Default)]
 pub struct DeviceTelemetry {
     pages_read: Counter,

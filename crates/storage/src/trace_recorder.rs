@@ -16,10 +16,9 @@
 //! - **Bounded**: capture stops (and a drop counter runs) once
 //!   [`MAX_RECORDS`] entries are held, so a runaway workload cannot OOM the
 //!   auditor.
-//! - **Clone-shared**: cloning shares the underlying buffer. A device that
-//!   is cloned for a transactional snapshot keeps appending to the same
-//!   trace after rollback — physical accesses happened on the bus whether
-//!   or not the round later aborted, and the adversary saw them.
+//! - **Clone-shared**: cloning shares the underlying buffer, so a cloned
+//!   device keeps appending to the same trace. An aborted round's accesses
+//!   stay in it — they happened on the bus, and the adversary saw them.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 

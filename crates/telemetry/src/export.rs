@@ -1,4 +1,5 @@
-//! Snapshot type and hand-rolled JSON / CSV exporters (zero dependencies).
+//! Snapshot type and hand-rolled JSON / Prometheus exporters (zero
+//! dependencies).
 //!
 //! The JSON layout is the contract consumed by CI and the bench drivers:
 //!
@@ -38,7 +39,7 @@ pub struct Snapshot {
     pub events_dropped: u64,
     /// Sorted names of audit-only series (values derived from round
     /// secrets). Lookups still resolve them, but the default exporters
-    /// ([`to_json`](Self::to_json), [`to_csv`](Self::to_csv),
+    /// ([`to_json`](Self::to_json),
     /// [`to_prometheus_text`](Self::to_prometheus_text)) redact them; use
     /// [`audit_view`](Self::audit_view) to export everything.
     pub audit_only: Vec<String>,
@@ -74,7 +75,7 @@ impl Snapshot {
     }
 
     /// An un-redacted copy for explicitly-requested audit exports: the
-    /// audit-only tag set is cleared, so every series appears in JSON / CSV /
+    /// audit-only tag set is cleared, so every series appears in JSON /
     /// Prometheus output. Only hand the result to channels cleared to see
     /// secret-derived series.
     pub fn audit_view(&self) -> Snapshot {
@@ -200,38 +201,6 @@ impl Snapshot {
             out.push_str("}}");
         }
         out.push_str(&format!("],\"events_dropped\":{}}}", self.events_dropped));
-        out
-    }
-
-    /// Serializes instruments (not events) to CSV with header
-    /// `kind,name,field,value`. Audit-only series are redacted; see
-    /// [`Snapshot::audit_view`].
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("kind,name,field,value\n");
-        for (name, v) in self.counters.iter().filter(|(k, _)| !self.is_audit_only(k)) {
-            out.push_str(&format!("counter,{},value,{v}\n", csv_field(name)));
-        }
-        for (name, v) in self.gauges.iter().filter(|(k, _)| !self.is_audit_only(k)) {
-            out.push_str(&format!("gauge,{},value,{v}\n", csv_field(name)));
-        }
-        for (name, h) in self
-            .histograms
-            .iter()
-            .filter(|(k, _)| !self.is_audit_only(k))
-        {
-            let name = csv_field(name);
-            for (field, v) in [
-                ("count", h.count),
-                ("sum", h.sum),
-                ("min", h.min),
-                ("max", h.max),
-                ("p50", h.p50),
-                ("p95", h.p95),
-                ("p99", h.p99),
-            ] {
-                out.push_str(&format!("histogram,{name},{field},{v}\n"));
-            }
-        }
         out
     }
 
@@ -362,15 +331,6 @@ impl Snapshot {
         let mut f = std::fs::File::create(path)?;
         f.write_all(self.to_json().as_bytes())?;
         f.write_all(b"\n")
-    }
-
-    /// Writes the CSV export to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from creating or writing the file.
-    pub fn write_csv(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_csv())
     }
 
     /// Serializes instruments to the Prometheus text exposition format
@@ -547,16 +507,6 @@ fn prom_f64(v: f64) -> String {
     }
 }
 
-/// Metric names are dot/underscore identifiers, but guard against commas and
-/// quotes anyway so the CSV never breaks.
-fn csv_field(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -606,16 +556,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_header_and_rows() {
-        let csv = sample().to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("kind,name,field,value"));
-        assert!(csv.contains("counter,storage.pages_read,value,5\n"));
-        assert!(csv.contains("histogram,oram.access.latency,count,3\n"));
-        assert!(csv.contains("histogram,oram.access.latency,p99,"));
-    }
-
-    #[test]
     fn lookups() {
         let s = sample();
         assert_eq!(s.counter("storage.pages_read"), Some(5));
@@ -628,17 +568,11 @@ mod tests {
     fn files_roundtrip() {
         let dir = std::env::temp_dir();
         let jp = dir.join("fedora_telemetry_test.json");
-        let cp = dir.join("fedora_telemetry_test.csv");
         let s = sample();
         s.write_json(&jp).unwrap();
-        s.write_csv(&cp).unwrap();
         let j = std::fs::read_to_string(&jp).unwrap();
         assert!(j.ends_with("}\n"));
-        assert!(std::fs::read_to_string(&cp)
-            .unwrap()
-            .starts_with("kind,name,field,value"));
         let _ = std::fs::remove_file(jp);
-        let _ = std::fs::remove_file(cp);
     }
 
     #[test]
@@ -679,7 +613,7 @@ mod tests {
         assert_eq!(s.gauge("fdp.round.k_union"), Some(17.0));
         assert!(s.is_audit_only("fdp.round.k_union"));
         assert!(!s.is_audit_only("public.count"));
-        for text in [s.to_json(), s.to_csv(), s.to_prometheus_text()] {
+        for text in [s.to_json(), s.to_prometheus_text()] {
             assert!(!text.contains("k_union"), "redacted from: {text}");
             assert!(!text.contains("fdp.dummies"), "redacted from: {text}");
             assert!(!text.contains("fdp_dummies"), "redacted from: {text}");
@@ -689,9 +623,7 @@ mod tests {
         // The explicit audit view exports everything.
         let full = s.audit_view();
         assert!(full.to_json().contains("\"fdp.round.k_union\":17"));
-        assert!(full
-            .to_csv()
-            .contains("counter,fdp.dummies.total,value,3\n"));
+        assert!(full.to_json().contains("\"fdp.dummies.total\":3"));
         assert!(full
             .to_prometheus_text()
             .contains("fedora_fdp_k_overhead_count 1\n"));

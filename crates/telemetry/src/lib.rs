@@ -13,8 +13,8 @@
 //! * [`Gauge`] — last-writer-wins `f64`, for analytic results and occupancy.
 //! * [`Histogram`] — 64 logarithmic (power-of-two) buckets with count / sum /
 //!   min / max and p50/p95/p99 summaries; fed directly via
-//!   [`Histogram::record`] or by drop-guard [`Timer`]s / [`Span`]s using a
-//!   monotonic clock.
+//!   [`Histogram::record`] or by drop-guard [`Timer`]s using a monotonic
+//!   clock.
 //! * [`Event`] journal — a bounded, ordered log of structured per-round
 //!   events (faults, quarantines, SecAgg dropouts, round boundaries).
 //! * [`TraceSpan`] causal tracing — when enabled via
@@ -23,7 +23,7 @@
 //!   tree exportable as Chrome trace-event JSON
 //!   ([`Snapshot::to_chrome_trace`]) for Perfetto / `chrome://tracing`.
 //! * [`Snapshot`] — a point-in-time copy of everything, exportable as
-//!   JSON, CSV or Prometheus text.
+//!   JSON or Prometheus text.
 //! * [`json`] — a minimal zero-dependency JSON parser for reading the
 //!   exports back (round-trip checks) and for the wire protocol.
 //!
@@ -40,7 +40,7 @@
 //!     lat.record(ns);
 //! }
 //! {
-//!     let _span = registry.span("oram.eviction"); // times the scope
+//!     let _timer = registry.histogram("oram.eviction.latency").start_timer();
 //! }
 //! let snap = registry.snapshot();
 //! assert_eq!(snap.counter("storage.pages_read"), Some(3));
@@ -61,5 +61,5 @@ mod trace;
 pub use export::Snapshot;
 pub use histogram::{bucket_bounds, bucket_index, Histogram, HistogramSummary, Timer, NUM_BUCKETS};
 pub use journal::{Event, Value, MAX_JOURNAL_EVENTS};
-pub use registry::{Counter, Gauge, Registry, Span};
+pub use registry::{Counter, Gauge, Registry};
 pub use trace::TraceSpan;

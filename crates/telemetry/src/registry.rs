@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::export::Snapshot;
-use crate::histogram::{Histogram, HistogramCore, HistogramSummary, Timer};
+use crate::histogram::{Histogram, HistogramCore, HistogramSummary};
 use crate::journal::{Journal, Value};
 use crate::trace::{self, TraceSpan, TracerCore};
 
@@ -132,7 +132,7 @@ impl Registry {
 
     /// Marks the series `name` as **audit-only**: its value derives from a
     /// round secret (in FEDORA, anything computed from `k_union`), so the
-    /// default JSON/CSV/Prometheus exports redact it lest the telemetry
+    /// default JSON/Prometheus exports redact it lest the telemetry
     /// channel itself become a side channel. Lookups on snapshots still see
     /// the series; only the exporters filter. No-op on a disabled registry.
     pub fn mark_audit_only(&self, name: &str) {
@@ -161,26 +161,10 @@ impl Registry {
         self.histogram(name)
     }
 
-    /// Opens a hierarchical span named `name`, timing the scope into the
-    /// histogram `"{name}.latency"` when the guard drops. When tracing is
-    /// enabled (see [`Registry::set_tracing`]) the scope additionally emits
-    /// `trace.begin`/`trace.end` records into the journal.
-    ///
-    /// Hot paths that run many times should cache the [`Histogram`] handle
-    /// and use [`Histogram::start_timer`] instead, skipping the name lookup.
-    pub fn span(&self, name: &str) -> Span {
-        Span {
-            timer: self.histogram(&format!("{name}.latency")).start_timer(),
-            trace: self.trace_span(name),
-            name: name.to_string(),
-            registry: self.clone(),
-        }
-    }
-
     /// Turns causal span tracing on or off (off by default; a no-op on a
-    /// disabled registry). While on, [`Registry::trace_span`] and
-    /// [`Registry::span`] emit `trace.begin`/`trace.end` journal records and
-    /// instrumented devices emit `trace.io` records.
+    /// disabled registry). While on, [`Registry::trace_span`] emits
+    /// `trace.begin`/`trace.end` journal records and instrumented devices
+    /// emit `trace.io` records.
     pub fn set_tracing(&self, on: bool) {
         if let Some(core) = self.tracer_core() {
             core.set_enabled(on);
@@ -192,9 +176,8 @@ impl Registry {
         self.tracer_core().is_some_and(TracerCore::is_enabled)
     }
 
-    /// Opens a causal trace span (without the latency histogram of
-    /// [`Registry::span`]). Returns an inert guard when tracing is off, at
-    /// the cost of one relaxed atomic load.
+    /// Opens a causal trace span. Returns an inert guard when tracing is
+    /// off, at the cost of one relaxed atomic load.
     pub fn trace_span(&self, name: &str) -> TraceSpan {
         TraceSpan::begin(self, name, &[])
     }
@@ -208,8 +191,8 @@ impl Registry {
     /// Opens a causal trace span under an **explicit** parent span id
     /// instead of the caller thread's innermost open span. Worker threads
     /// use this to keep the causal tree connected across a fan-out: the
-    /// dispatching thread captures its span's id ([`TraceSpan::id`] /
-    /// [`Span::trace_id`]) before spawning and each worker roots its spans
+    /// dispatching thread captures its span's id ([`TraceSpan::id`])
+    /// before spawning and each worker roots its spans
     /// under it, so Perfetto still renders one tree. `parent = 0` opens a
     /// root span.
     pub fn trace_span_under(&self, parent: u64, name: &str) -> TraceSpan {
@@ -225,18 +208,6 @@ impl Registry {
         attrs: &[(&str, Value)],
     ) -> TraceSpan {
         TraceSpan::begin_under(self, parent, name, attrs)
-    }
-
-    /// Like [`Registry::span`] (latency histogram + causal span) but with
-    /// the causal span rooted under an explicit parent span id; see
-    /// [`Registry::trace_span_under`].
-    pub fn span_under(&self, parent: u64, name: &str) -> Span {
-        Span {
-            timer: self.histogram(&format!("{name}.latency")).start_timer(),
-            trace: self.trace_span_under(parent, name),
-            name: name.to_string(),
-            registry: self.clone(),
-        }
     }
 
     /// Records a `trace.io` point event attributing `sim_ns` of *simulated*
@@ -440,48 +411,6 @@ impl Gauge {
     }
 }
 
-/// A hierarchical timing scope: records its lifetime into
-/// `"{name}.latency"` on drop, and can open children named under it. With
-/// tracing enabled it also carries a causal [`TraceSpan`].
-#[derive(Debug)]
-pub struct Span {
-    name: String,
-    registry: Registry,
-    timer: Timer,
-    trace: TraceSpan,
-}
-
-impl Span {
-    /// This span's full dotted name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Opens a child span named `"{parent}.{suffix}"`.
-    pub fn child(&self, suffix: &str) -> Span {
-        self.registry.span(&format!("{}.{suffix}", self.name))
-    }
-
-    /// Attaches a key=value attribute to the `trace.end` record (a no-op
-    /// when tracing is off).
-    pub fn attr(&mut self, key: &str, value: impl Into<Value>) {
-        self.trace.attr(key, value);
-    }
-
-    /// Id of the underlying causal trace span (0 when tracing is off).
-    /// Capture this before a fan-out and pass it to
-    /// [`Registry::span_under`] / [`Registry::trace_span_under`] so worker
-    /// spans stay connected to this span's tree.
-    pub fn trace_id(&self) -> u64 {
-        self.trace.id()
-    }
-
-    /// Ends the span now (same as dropping it).
-    pub fn end(self) {
-        self.timer.stop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,27 +485,6 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.counter("never.touched"), Some(0));
         assert_eq!(snap.histogram("empty.hist").map(|h| h.count), Some(0));
-    }
-
-    #[test]
-    fn span_records_latency_and_children() {
-        let r = Registry::new();
-        {
-            let span = r.span("oram.access");
-            let child = span.child("decrypt");
-            assert_eq!(child.name(), "oram.access.decrypt");
-            child.end();
-        }
-        let snap = r.snapshot();
-        assert_eq!(
-            snap.histogram("oram.access.latency").map(|h| h.count),
-            Some(1)
-        );
-        assert_eq!(
-            snap.histogram("oram.access.decrypt.latency")
-                .map(|h| h.count),
-            Some(1)
-        );
     }
 
     #[test]

@@ -131,10 +131,9 @@ impl TracerCore {
 
 /// Drop guard for one traced scope.
 ///
-/// Obtained from [`Registry::trace_span`](crate::Registry::trace_span) (or
-/// implicitly through [`Registry::span`](crate::Registry::span)). Emits
-/// `trace.end` on drop; attributes added with [`TraceSpan::attr`] ride on
-/// the end record, which is how abort paths mark unwound spans
+/// Obtained from [`Registry::trace_span`](crate::Registry::trace_span).
+/// Emits `trace.end` on drop; attributes added with [`TraceSpan::attr`]
+/// ride on the end record, which is how abort paths mark unwound spans
 /// (`aborted=1`).
 #[derive(Debug, Default)]
 pub struct TraceSpan {
@@ -465,20 +464,5 @@ mod tests {
             0,
             "b must not parent under a"
         );
-    }
-
-    #[test]
-    fn legacy_span_emits_trace_records_when_enabled() {
-        let r = traced_registry();
-        {
-            let _scope = r.span("oram.eviction");
-        }
-        let snap = r.snapshot();
-        assert_eq!(
-            snap.histogram("oram.eviction.latency").map(|h| h.count),
-            Some(1)
-        );
-        let names: Vec<&str> = snap.events.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, ["trace.begin", "trace.end"]);
     }
 }

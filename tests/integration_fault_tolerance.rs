@@ -10,9 +10,13 @@
 //!    the recovered table is bit-identical to a fault-free twin run fed
 //!    the same requests and gradients (`PrivacyConfig::none()` and the
 //!    server's first-k read make the twins deterministic).
-//! 3. **Forward progress** — transactional rounds abort cleanly, roll
-//!    back to the round-start snapshot, and the next round proceeds
-//!    (degraded for quarantined entries, never wrong).
+//! 3. **Fail-stop, then recover** — an integrity failure that outlives
+//!    the retries stops the server (its round's ε charged, every later
+//!    round refused); a fresh server recovers the last commit from its
+//!    state directory, charges the failed round once, and proceeds —
+//!    never serving wrong bytes.
+
+use std::path::PathBuf;
 
 use fedora::config::{FedoraConfig, PrivacyConfig, TableSpec};
 use fedora::server::{FedoraError, FedoraServer, RoundReport};
@@ -130,18 +134,28 @@ fn chaos_campaign_every_fault_detected_no_silent_corruption() {
     );
 }
 
+/// A fresh (pre-wiped) per-test state directory.
+fn state_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("fedora-itest-fault-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 #[test]
-fn transactional_abort_then_resume_no_partial_state() {
-    let mut rng = StdRng::seed_from_u64(7);
+fn aborted_round_stops_server_and_recovers_durably() {
+    let dir = state_dir("abort");
     let mut config = test_config();
-    config.fault_tolerance = fedora::config::FaultToleranceConfig::transactional();
+    config.privacy = PrivacyConfig::with_epsilon(1.0);
     config.fault_tolerance.max_read_retries = 0; // a single transient aborts
-    let mut s = FedoraServer::new(config, init_entry, &mut rng);
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut s = FedoraServer::new(config.clone(), init_entry, &mut rng);
+    s.enable_durability(&dir).unwrap();
 
     for round in 0..2 {
         run_round(&mut s, &mut rng, round).unwrap();
     }
     let before = s.snapshot_table(&mut rng).unwrap();
+    assert_eq!(s.accountant().total_epsilon(), 2.0);
 
     s.arm_faults(FaultConfig::chaos(3, 0.0, 0.0, 1.0));
     let err = run_round(&mut s, &mut rng, 2).unwrap_err();
@@ -156,72 +170,81 @@ fn transactional_abort_then_resume_no_partial_state() {
         "{err}"
     );
     s.disarm_faults();
-
     assert_eq!(s.aborts().len(), 1);
     assert!(s.aborts()[0].report.integrity.transient_retries >= 1);
+    assert_eq!(s.accountant().total_epsilon(), 3.0, "the abort is charged");
+    // Stopped: the round cannot be retried in this process.
+    assert_eq!(run_round(&mut s, &mut rng, 2).unwrap_err(), err);
+    assert_eq!(s.committed_rounds(), 2);
+    drop(s);
+
+    // The way back is crash recovery on a fresh server.
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut t = FedoraServer::new(config, init_entry, &mut rng);
+    assert_eq!(t.recover(&dir).unwrap(), 2);
+    assert!(t.aborts().is_empty());
     assert_eq!(
-        s.committed_rounds(),
-        2,
-        "an aborted round is not a completed round"
+        t.accountant().total_epsilon(),
+        3.0,
+        "the failed round is charged exactly once"
     );
-    assert!(s.quarantined_entries().is_empty());
-
     // Nothing of the aborted round stuck: the logical table is unchanged.
-    let after = s.snapshot_table(&mut rng).unwrap();
-    assert_eq!(before, after);
+    assert_eq!(t.snapshot_table(&mut rng).unwrap(), before);
+    assert!(t.quarantined_entries().is_empty());
 
-    // The very round that aborted succeeds on retry.
-    run_round(&mut s, &mut rng, 2).unwrap();
-    assert_eq!(s.committed_rounds(), 3);
-    assert!(s.scrub().unwrap().is_clean());
+    // The very round that aborted commits on the recovered server.
+    run_round(&mut t, &mut rng, 2).unwrap();
+    assert_eq!(t.committed_rounds(), 3);
+    assert_eq!(t.accountant().total_epsilon(), 4.0);
+    assert!(t.scrub().unwrap().is_clean());
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Unrecoverable damage degrades service to a stop, never to wrong bytes:
+/// the stopped server serves nothing, and the recovered one serves the
+/// committed values.
 #[test]
 fn unrecoverable_damage_degrades_but_never_serves_wrong_bytes() {
+    let dir = state_dir("damage");
     let mut rng = StdRng::seed_from_u64(11);
-    let mut config = test_config();
-    config.fault_tolerance = fedora::config::FaultToleranceConfig::transactional();
-    let mut s = FedoraServer::new(config, init_entry, &mut rng);
+    let mut s = FedoraServer::new(test_config(), init_entry, &mut rng);
+    s.enable_durability(&dir).unwrap();
     run_round(&mut s, &mut rng, 0).unwrap();
 
     // Every read attempt is corrupted in flight: the retry budget cannot
-    // save the round, so it must abort (and the probe-then-repair path
-    // may sacrifice the unreadable bucket).
+    // save the round, so it aborts and the server stops.
     s.arm_faults(FaultConfig::chaos(5, 1.0, 0.0, 0.0));
     let err = run_round(&mut s, &mut rng, 1).unwrap_err();
     assert!(matches!(err, FedoraError::RoundAborted { .. }), "{err}");
     s.disarm_faults();
+    assert_eq!(s.begin_round(&requests(1), &mut rng).unwrap_err(), err);
+    assert!(matches!(
+        s.serve(requests(1)[0], &mut rng),
+        Err(FedoraError::NoActiveRound)
+    ));
+    drop(s);
 
-    // Degraded forward progress: later rounds complete; quarantined
-    // entries read as lost (None), everything else reads correct bytes
-    // (values evolve by the aggregation schedule, so just decode-check).
-    let expected_round0: Vec<u64> = requests(0);
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut t = FedoraServer::new(test_config(), init_entry, &mut rng);
+    assert_eq!(t.recover(&dir).unwrap(), 1);
+    // Round 0 moved every entry it touched by the FedAvg mean gradient
+    // 0.125 at lr 0.5: +0.0625, exactly. The rounds below serve only.
+    let round0 = requests(0);
     for round in 1..4u64 {
         let reqs = requests(round);
-        s.begin_round(&reqs, &mut rng).unwrap();
+        t.begin_round(&reqs, &mut rng).unwrap();
         for &id in &reqs {
-            match s.serve(id, &mut rng).unwrap() {
-                Some(bytes) => {
-                    let v = f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-                    // id, or id + 0.0625 if updated in round 0 (48 grads of
-                    // 0.125, FedAvg mean 0.125, lr 0.5 — but each entry got
-                    // exactly one gradient per appearance → +0.0625 per
-                    // round it appeared in).
-                    let appearances = expected_round0.iter().filter(|&&x| x == id).count();
-                    let base = id as f32;
-                    assert!(
-                        (v - base).abs() < 1.0 + appearances as f32,
-                        "entry {id} decoded to {v}, far from {base}"
-                    );
-                }
-                None => assert!(s.quarantined_entries().contains(&id)),
-            }
+            let bytes = t.serve(id, &mut rng).unwrap().expect("ε = ∞ loses nothing");
+            let v = f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+            let bump = if round0.contains(&id) { 0.0625 } else { 0.0 };
+            assert_eq!(v, id as f32 + bump, "entry {id} in round {round}");
         }
         let mut mode = FedAvg;
-        s.end_round(&mut mode, 0.5, &mut rng).unwrap();
+        t.end_round(&mut mode, 0.5, &mut rng).unwrap();
     }
-    assert_eq!(s.committed_rounds(), 4);
+    assert_eq!(t.committed_rounds(), 4);
     // After the campaign the tree authenticates end to end again.
-    let scrub = s.scrub().unwrap();
+    let scrub = t.scrub().unwrap();
     assert!(scrub.is_clean(), "{scrub:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

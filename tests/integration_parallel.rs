@@ -73,14 +73,6 @@ fn training_gradients_identical_across_thread_counts() {
     }
 }
 
-/// Everything a [`RoundReport`] counts — accesses, dummies, device stats,
-/// integrity events — except the measured wall-times.
-fn scrub_latency(mut report: RoundReport) -> RoundReport {
-    report.phases = Default::default();
-    report.metrics = Default::default();
-    report
-}
-
 /// Per-round reports modulo latency, plus the cumulative non-latency
 /// telemetry, of one server driven for three rounds under `mode`.
 fn run_rounds<M: AggregationMode>(
@@ -105,9 +97,9 @@ fn run_rounds<M: AggregationMode>(
             }
         }
         let report = server.end_round(&mut mode, 1.0, &mut rng).expect("end");
-        reports.push(scrub_latency(report));
+        reports.push(report.scrubbed());
     }
-    let snap = server.metrics_snapshot();
+    let snap = server.registry().snapshot();
     let counters: Vec<Option<u64>> = [
         "storage.pages_read",
         "storage.pages_written",

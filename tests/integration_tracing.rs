@@ -7,8 +7,8 @@
 //!    — connected purely by span/parent ids in the journal.
 //! 2. The per-round [`PhaseBreakdown`] partitions the measured round
 //!    wall-time exactly (`sum_ns() == round_ns`).
-//! 3. A transactionally aborted round closes its `round` span with an
-//!    `aborted` attribute instead of leaking it.
+//! 3. An aborted round closes its `round` span with an `aborted`
+//!    attribute instead of leaking it.
 //! 4. The Chrome trace-event export round-trips through the bundled JSON
 //!    parser with balanced begin/end pairs.
 //! 5. With tracing off (the default), the journal carries no `trace.*`
@@ -112,7 +112,7 @@ fn traced_round_yields_complete_causal_tree() {
     let mut server = traced_server(&mut rng);
     run_round(&mut server, &mut rng, 0).expect("traced round");
 
-    let events = server.metrics_snapshot().events;
+    let events = server.registry().snapshot().events;
     let spans = span_index(&events);
 
     // Every level the acceptance criterion names, connected to the round
@@ -191,7 +191,7 @@ fn phase_breakdown_partitions_round_wall_time() {
         );
         // The phase gauges mirror the last round's breakdown.
     }
-    let snap = server.metrics_snapshot();
+    let snap = server.registry().snapshot();
     let last = reports.last().expect("rounds ran");
     assert_eq!(
         snap.gauge("round.phase.round_ns"),
@@ -209,7 +209,6 @@ fn aborted_round_closes_span_with_aborted_attribute() {
     let registry = Registry::new();
     registry.set_tracing(true);
     let mut config = test_config();
-    config.fault_tolerance = fedora::config::FaultToleranceConfig::transactional();
     config.fault_tolerance.max_read_retries = 0; // a single transient aborts
     let mut server = FedoraServer::with_telemetry(config, init_entry, registry, &mut rng);
 
@@ -225,7 +224,7 @@ fn aborted_round_closes_span_with_aborted_attribute() {
     ));
     server.disarm_faults();
 
-    let events = server.metrics_snapshot().events;
+    let events = server.registry().snapshot().events;
     let spans = span_index(&events);
     let round_ends: Vec<&Event> = events
         .iter()
@@ -257,7 +256,7 @@ fn chrome_trace_export_round_trips_and_balances() {
     let mut server = traced_server(&mut rng);
     run_round(&mut server, &mut rng, 0).expect("round");
 
-    let text = server.metrics_snapshot().to_chrome_trace();
+    let text = server.registry().snapshot().to_chrome_trace();
     let root = json::parse(&text).expect("chrome trace is valid JSON");
     let trace_events = root
         .get("traceEvents")
@@ -305,7 +304,7 @@ fn tracing_disabled_emits_no_trace_records() {
     // Default server: enabled metrics registry, tracing off.
     let mut server = FedoraServer::new(test_config(), init_entry, &mut rng);
     let report = run_round(&mut server, &mut rng, 0).expect("round");
-    let events = server.metrics_snapshot().events;
+    let events = server.registry().snapshot().events;
     assert!(
         events.iter().all(|e| !e.name.starts_with("trace.")),
         "trace records present with tracing disabled"

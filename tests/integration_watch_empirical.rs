@@ -125,7 +125,7 @@ fn strawman_estimate_alarms_exactly_once_per_crossing() {
     assert_eq!(server.empirical_estimate(), Some(&strawman));
 
     // The estimate lands on the audit-only ledger gauges.
-    let audit = server.metrics_snapshot().audit_view();
+    let audit = server.registry().snapshot().audit_view();
     assert_eq!(audit.gauge("fdp.empirical.eps_hat"), Some(strawman.eps_hat));
     assert_eq!(
         audit.gauge("fdp.empirical.samples"),
@@ -170,7 +170,7 @@ fn honest_estimate_never_alarms() {
 }
 
 /// The `fdp.empirical.*` gauges are audit-only: absent from the default
-/// JSON/CSV/Prometheus exports, present under `audit_view`.
+/// JSON/Prometheus exports, present under `audit_view`.
 #[test]
 fn empirical_gauges_are_redacted_from_default_exports() {
     let mut rng = StdRng::seed_from_u64(SEED);
@@ -183,8 +183,8 @@ fn empirical_gauges_are_redacted_from_default_exports() {
         ci_hi: 0.4,
         samples: 9,
     });
-    let snap = server.metrics_snapshot();
-    for export in [snap.to_json(), snap.to_csv(), snap.to_prometheus_text()] {
+    let snap = server.registry().snapshot();
+    for export in [snap.to_json(), snap.to_prometheus_text()] {
         assert!(
             !export.contains("fdp.empirical") && !export.contains("fdp_empirical"),
             "default export must redact empirical gauges: {export}"
@@ -192,7 +192,7 @@ fn empirical_gauges_are_redacted_from_default_exports() {
     }
     let audit = snap.audit_view();
     assert!(audit.to_json().contains("\"fdp.empirical.eps_hat\":0.25"));
-    assert!(audit.to_csv().contains("fdp.empirical.samples"));
+    assert!(audit.to_json().contains("\"fdp.empirical.samples\":9"));
     assert!(audit
         .to_prometheus_text()
         .contains("fedora_fdp_empirical_eps_hat 0.25"));
@@ -347,7 +347,7 @@ fn continuous_refresher_updates_estimate_across_live_windows() {
     );
     // The gauges are live on the audit view, and the watch report taken
     // at the same commit already sees the refreshed estimate.
-    let audit = server.metrics_snapshot().audit_view();
+    let audit = server.registry().snapshot().audit_view();
     assert_eq!(audit.gauge("fdp.empirical.samples"), Some(4.0));
     assert_eq!(audit.gauge("fdp.empirical.eps_hat"), Some(estimate.eps_hat));
     let report = server.watch_report().expect("watch sampled");
@@ -390,7 +390,7 @@ fn watch_overhead_stays_under_five_percent_of_round_time() {
         server.begin_round(&requests, &mut rng).expect("round");
         server.end_round(&mut mode, 1.0, &mut rng).expect("end");
     }
-    let snap = server.metrics_snapshot();
+    let snap = server.registry().snapshot();
     let watch = snap.histogram("watch.sample.ns").expect("watch histogram");
     let rounds = snap.histogram("round.latency").expect("round histogram");
     assert_eq!(watch.count, 20, "sampled every round");
@@ -423,7 +423,7 @@ fn watch_overhead_with_refresher_stays_under_five_percent() {
         server.begin_round(&requests, &mut rng).expect("round");
         server.end_round(&mut mode, 1.0, &mut rng).expect("end");
     }
-    let snap = server.metrics_snapshot();
+    let snap = server.registry().snapshot();
     let watch = snap.histogram("watch.sample.ns").expect("watch histogram");
     let rounds = snap.histogram("round.latency").expect("round histogram");
     assert_eq!(
