@@ -78,8 +78,8 @@ impl PathOramPlus {
         self.main.store().device_stats()
     }
 
-    /// Read phase: one main-ORAM access per user request (`k = K`),
-    /// loading each first occurrence into the buffer ORAM.
+    /// Read phase: one main-ORAM access per user request (`k = K`), then
+    /// one buffer build holding each first occurrence.
     ///
     /// # Errors
     ///
@@ -106,19 +106,21 @@ impl PathOramPlus {
             ssd_before: self.main.store().device_stats(),
             buffer_before: self.buffer.device_stats(),
         };
+        let mut slots: Vec<Option<(u64, Vec<u8>)>> = Vec::with_capacity(requests.len());
         for &id in requests {
             state.report.k_accesses += 1;
             let payload = self.main.read(id, rng)?;
-            if self.buffer.is_loaded(id) {
+            if slots.iter().flatten().any(|(loaded, _)| *loaded == id) {
                 // The main-ORAM access above already provided the perfect
                 // privacy; duplicates only add a dummy buffer slot.
-                self.buffer.load_dummy(rng)?;
+                slots.push(None);
                 state.report.dummies += 1;
             } else {
-                self.buffer.load_entry(id, &payload, rng)?;
+                slots.push(Some((id, payload)));
                 state.report.k_union += 1;
             }
         }
+        self.buffer.load_round(slots, rng)?;
         let partial = state.report.clone();
         self.active = Some(state);
         Ok(partial)
@@ -180,7 +182,7 @@ impl PathOramPlus {
         rng: &mut R,
     ) -> Result<RoundReport, FedoraError> {
         let mut state = self.active.take().ok_or(FedoraError::NoActiveRound)?;
-        let drained = self.buffer.drain_round(rng)?;
+        let drained = self.buffer.drain_round()?;
         let mut writes = 0usize;
         for entry in drained.entries {
             let mut agg = entry.gradient;

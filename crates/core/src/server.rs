@@ -1105,7 +1105,7 @@ impl FedoraServer {
     /// budget flag, accountant, entry quarantine, last committed report,
     /// aggregation-mode optimizer state, main-ORAM controller (EO count,
     /// repaired buckets) + store (SSD image, cumulative integrity stats,
-    /// node quarantine), and the buffer ORAM.
+    /// node quarantine), and the buffer ORAM's bucket counters.
     fn encode_checkpoint_body(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_u64(self.committed_rounds);
@@ -1366,7 +1366,8 @@ impl FedoraServer {
         }
     }
 
-    /// Steps ①–③ proper: chunked union, FDP `k`, and the buffer loads.
+    /// Steps ①–③ proper: chunked union, FDP `k`, the main-ORAM fetches,
+    /// and one buffer build over the round's slots.
     fn read_phase<R: Rng>(
         &mut self,
         requests: &[u64],
@@ -1374,6 +1375,8 @@ impl FedoraServer {
         rng: &mut R,
     ) -> Result<(), FedoraError> {
         let _trace = self.registry.trace_span("round.read");
+        // The round's buffer slots in fetch order: `None` is a dummy.
+        let mut slots: Vec<Option<(u64, Vec<u8>)>> = Vec::new();
         for chunk in requests.chunks(self.chunk_plan.chunk_size()) {
             if chunk.is_empty() {
                 continue;
@@ -1409,29 +1412,29 @@ impl FedoraServer {
             let candidates = union.real_entries();
             let to_fetch = k.min(k_union);
             for &id in &candidates[..to_fetch] {
-                if self.buffer.is_loaded(id) {
+                if slots.iter().flatten().any(|(loaded, _)| *loaded == id) {
                     // Cross-chunk duplicate: the entry already left the
                     // main ORAM this round. The access still happens (same
                     // observable path read), it just returns nothing new —
                     // the performance cost of chunking the paper describes.
                     self.main.dummy_fetch(rng)?;
-                    self.buffer.load_dummy(rng)?;
+                    slots.push(None);
                 } else if self.quarantined_ids.contains(&id) {
                     // Degraded mode: the entry's block was destroyed by a
                     // bucket repair. Keep the observable access pattern
                     // (same path read + buffer slot) but serve it as lost.
                     self.main.dummy_fetch(rng)?;
-                    self.buffer.load_dummy(rng)?;
+                    slots.push(None);
                     state.report.lost += 1;
                     state.lost_ids.insert(id);
                 } else {
                     match self.main.fetch(id, rng) {
-                        Ok(block) => self.buffer.load_entry(id, &block.payload, rng)?,
+                        Ok(block) => slots.push(Some((id, block.payload))),
                         Err(OramError::MissingBlock { id }) => {
                             // Lazy quarantine: the path read happened but
                             // the block is gone (its bucket was repaired).
                             self.quarantined_ids.insert(id);
-                            self.buffer.load_dummy(rng)?;
+                            slots.push(None);
                             state.report.lost += 1;
                             state.lost_ids.insert(id);
                         }
@@ -1449,11 +1452,16 @@ impl FedoraServer {
             for _ in k_union..k {
                 state.report.dummies += 1;
                 self.main.dummy_fetch(rng)?;
-                self.buffer.load_dummy(rng)?;
+                slots.push(None);
                 self.note_read_access()?;
             }
             state.report.phases.fetch_ns += fetch_started.elapsed().as_nanos() as u64;
         }
+        // ③ The working set enters the buffer ORAM in one whole-tree
+        // build, timed as part of the fetch.
+        let build_started = Instant::now();
+        self.buffer.load_round(slots, rng)?;
+        state.report.phases.fetch_ns += build_started.elapsed().as_nanos() as u64;
         Ok(())
     }
 
@@ -1533,7 +1541,8 @@ impl FedoraServer {
 
     /// Step ④: serves one user request from the buffer ORAM. Returns
     /// `None` when the entry was lost to the FDP mechanism this round
-    /// (caller applies the default-value strategy).
+    /// (caller applies the default-value strategy); the request still
+    /// makes its one buffer access.
     ///
     /// # Errors
     ///
@@ -1558,7 +1567,10 @@ impl FedoraServer {
         let state = self.active.as_ref().ok_or(FedoraError::NoActiveRound)?;
         let _trace = self.registry.trace_span("round.serve");
         if state.lost_ids.contains(&id) {
+            // A lost entry still costs its buffer access, so the round's
+            // buffer trace does not depend on which entries were lost.
             self.telemetry.lost_serves.incr();
+            self.buffer.dummy_access(rng)?;
             return Ok(None);
         }
         match self.buffer.serve(id, rng) {
@@ -1573,7 +1585,8 @@ impl FedoraServer {
 
     /// Step ⑥: accumulates one client's gradient for one entry. The mode's
     /// `Pre` function is applied here, inside the trusted controller.
-    /// Gradients for lost entries are dropped (returns `false`).
+    /// Gradients for lost entries are dropped (returns `false`) after the
+    /// same one buffer access a kept gradient costs.
     ///
     /// # Errors
     ///
@@ -1612,6 +1625,7 @@ impl FedoraServer {
             .upload_bytes
             .add(core::mem::size_of_val(gradient) as u64);
         if state.lost_ids.contains(&id) {
+            self.buffer.dummy_access(rng)?;
             return Ok(false);
         }
         let mut g = gradient.to_vec();
@@ -1659,7 +1673,7 @@ impl FedoraServer {
     ) -> Result<RoundReport, FedoraError> {
         let write_started = Instant::now();
         let _trace = self.registry.trace_span("round.write");
-        let drained = self.buffer.drain_round(rng)?;
+        let drained = self.buffer.drain_round()?;
         for entry in drained.entries {
             let mut agg = entry.gradient;
             mode.post(entry.id, &mut agg, entry.weight, rng);

@@ -8,6 +8,21 @@
 //! accumulated state streams back out for the post-aggregation function and
 //! the main-ORAM update.
 //!
+//! A round touches the tree in three steps:
+//!
+//! 1. **Build.** [`BufferOram::load_round`] takes the whole working set
+//!    at once and [`PathOram::build`] seals every bucket once, in node
+//!    order. The blocks' leaves are fresh uniform draws and their contents
+//!    are sealed, so the store sees the same `num_nodes` bucket writes
+//!    whatever `k`, the ids or the values are.
+//! 2. **Paths.** Every serve and every aggregate is one Path ORAM access
+//!    (aggregation reads, adds and writes back in the same access), and a
+//!    request for an entry the FDP mechanism dropped still costs one dummy
+//!    access. The round thus makes one path access per request and one
+//!    per uploaded gradient, however the requests repeat.
+//! 3. **Sweep.** [`BufferOram::drain_round`] opens every bucket once, in
+//!    node order, and hands the entries back in load order.
+//!
 //! The buffer ORAM is sized for the worst-case working set (max clients per
 //! round × max features per client — both public protocol parameters), so
 //! it can never overflow.
@@ -16,7 +31,7 @@ use fedora_crypto::aead::Key;
 use fedora_storage::profile::DramProfile;
 use fedora_storage::stats::DeviceStats;
 use fedora_storage::{ByteReader, ByteWriter, CodecError};
-use fedora_telemetry::{Counter, Registry};
+use fedora_telemetry::{Counter, Gauge, Registry};
 use rand::Rng;
 
 use crate::geometry::TreeGeometry;
@@ -84,6 +99,7 @@ struct BufferTelemetry {
     loads: Counter,
     serves: Counter,
     aggregates: Counter,
+    stash_high_water: Gauge,
 }
 
 impl BufferTelemetry {
@@ -93,6 +109,7 @@ impl BufferTelemetry {
             loads: registry.counter("oram.buffer.loads"),
             serves: registry.counter("oram.buffer.serves"),
             aggregates: registry.counter("oram.buffer.aggregates"),
+            stash_high_water: registry.gauge("oram.buffer.stash.high_water"),
         }
     }
 }
@@ -102,11 +119,11 @@ pub struct BufferOram {
     oram: PathOram<DramBucketStore>,
     entry_bytes: usize,
     capacity: usize,
-    /// id → slot mapping for the current round (`None` marks a dummy
-    /// entry from an FDP padding access). Lives inside the secure
-    /// controller (its DRAM footprint is the position map the latency model
-    /// charges for).
-    loaded: Vec<(Option<u64>, u64)>,
+    /// The entry id of each slot of the current round, in load order
+    /// (`None` marks a dummy slot from an FDP padding access). Lives inside
+    /// the secure controller (its DRAM footprint is the position map the
+    /// latency model charges for).
+    loaded: Vec<Option<u64>>,
     telemetry: BufferTelemetry,
 }
 
@@ -144,8 +161,9 @@ impl BufferOram {
         }
     }
 
-    /// Attaches telemetry: load/serve/aggregate counters under the
-    /// `oram.buffer` prefix plus the backing DRAM store's traffic.
+    /// Attaches telemetry: load/serve/aggregate counters and the stash
+    /// high-water gauge under the `oram.buffer` prefix, plus the backing
+    /// DRAM store's traffic.
     pub fn set_telemetry(&mut self, registry: &Registry) {
         self.telemetry = BufferTelemetry::attach(registry);
         self.oram.store_mut().set_telemetry(registry);
@@ -161,9 +179,19 @@ impl BufferOram {
         self.entry_bytes
     }
 
+    /// The backing tree's shape.
+    pub fn geometry(&self) -> TreeGeometry {
+        self.oram.store().geometry()
+    }
+
     /// DRAM statistics of the backing store.
     pub fn device_stats(&self) -> DeviceStats {
         self.oram.store().device_stats()
+    }
+
+    /// Highest stash occupancy observed.
+    pub fn stash_high_water(&self) -> usize {
+        self.oram.stash_high_water()
     }
 
     /// Number of entries loaded this round.
@@ -171,28 +199,12 @@ impl BufferOram {
         self.loaded.len()
     }
 
-    /// Whether `id` is loaded this round.
-    pub fn is_loaded(&self, id: u64) -> bool {
-        self.loaded.iter().any(|(eid, _)| *eid == Some(id))
-    }
-
     fn slot_of(&self, id: u64) -> Result<u64, BufferError> {
         self.loaded
             .iter()
-            .find(|(eid, _)| *eid == Some(id))
-            .map(|(_, slot)| *slot)
+            .position(|&eid| eid == Some(id))
+            .map(|slot| slot as u64)
             .ok_or(BufferError::NotLoaded { id })
-    }
-
-    fn encode(entry: &[u8], gradient: &[f32], weight: f64) -> Vec<u8> {
-        let mut block = Vec::with_capacity(entry.len() * 2 + AGG_META_BYTES);
-        block.extend_from_slice(entry);
-        for g in gradient {
-            block.extend_from_slice(&g.to_le_bytes());
-        }
-        block.extend_from_slice(&(weight as f32).to_le_bytes());
-        block.extend_from_slice(&[0u8; 4]);
-        block
     }
 
     fn decode(&self, id: u64, block: &[u8]) -> AggregatedEntry {
@@ -211,25 +223,30 @@ impl BufferOram {
         }
     }
 
-    /// Loads one entry fetched from the main ORAM (step ③): places it in
-    /// the first free buffer slot with a zeroed aggregation half.
+    /// Loads the round's working set (step ③) with one whole-tree build.
+    /// `slots` lists the round's slots in order: `Some((id, entry))` for
+    /// an entry fetched from the main ORAM, `None` for a dummy — the `X`
+    /// of Figure 4, produced when the FDP mechanism padded the round or a
+    /// fetch returned nothing new. Every slot starts with a zeroed
+    /// aggregation half; dummy slots drain back to the main ORAM as dummy
+    /// insertions at round end.
     ///
     /// # Errors
     ///
-    /// [`BufferError::CapacityExceeded`] when the round's working set is
-    /// larger than the provisioned capacity.
+    /// [`BufferError::CapacityExceeded`] when the working set is larger
+    /// than the provisioned capacity; [`OramError::BuildWhileLive`] when
+    /// the previous round was not drained.
     ///
     /// # Panics
     ///
-    /// Panics if `entry.len()` disagrees with the configured entry size.
-    pub fn load_entry<R: Rng>(
+    /// Panics if an entry's length disagrees with the configured entry
+    /// size.
+    pub fn load_round<R: Rng>(
         &mut self,
-        id: u64,
-        entry: &[u8],
+        slots: Vec<Option<(u64, Vec<u8>)>>,
         rng: &mut R,
     ) -> Result<(), BufferError> {
-        assert_eq!(entry.len(), self.entry_bytes, "entry size mismatch");
-        if self.loaded.len() >= self.capacity {
+        if slots.len() > self.capacity {
             return Err(BufferError::CapacityExceeded {
                 capacity: self.capacity,
             });
@@ -237,47 +254,37 @@ impl BufferOram {
         let _trace = self
             .telemetry
             .registry
-            .trace_span_with("buffer.load", &[("kind", "entry".into())]);
-        let slot = self.loaded.len() as u64;
-        let zeros = vec![0f32; self.entry_bytes / 4];
-        let block = Self::encode(entry, &zeros, 0.0);
-        self.oram.write(slot, block, rng)?;
-        self.loaded.push((Some(id), slot));
-        self.telemetry.loads.incr();
-        Ok(())
-    }
-
-    /// Loads a dummy entry — the `X` of Figure 4, produced when the FDP
-    /// mechanism padded the round (`k > k_union`). The buffer ORAM access
-    /// is real (same observable cost as a genuine entry); the slot is
-    /// drained back to the main ORAM as a dummy insertion at round end.
-    ///
-    /// # Errors
-    ///
-    /// [`BufferError::CapacityExceeded`] when the round overflows.
-    pub fn load_dummy<R: Rng>(&mut self, rng: &mut R) -> Result<(), BufferError> {
-        if self.loaded.len() >= self.capacity {
-            return Err(BufferError::CapacityExceeded {
-                capacity: self.capacity,
-            });
+            .trace_span_with("buffer.build", &[("slots", slots.len().into())]);
+        let block_bytes = 2 * self.entry_bytes + AGG_META_BYTES;
+        let mut loaded = Vec::with_capacity(slots.len());
+        let mut blocks = Vec::with_capacity(slots.len());
+        for (slot, content) in slots.into_iter().enumerate() {
+            let mut block = match content {
+                Some((id, entry)) => {
+                    assert_eq!(entry.len(), self.entry_bytes, "entry size mismatch");
+                    loaded.push(Some(id));
+                    entry
+                }
+                None => {
+                    loaded.push(None);
+                    vec![0u8; self.entry_bytes]
+                }
+            };
+            block.resize(block_bytes, 0);
+            blocks.push((slot as u64, block));
         }
-        let _trace = self
-            .telemetry
-            .registry
-            .trace_span_with("buffer.load", &[("kind", "dummy".into())]);
-        let slot = self.loaded.len() as u64;
-        let zeros = vec![0f32; self.entry_bytes / 4];
-        let entry = vec![0u8; self.entry_bytes];
-        let block = Self::encode(&entry, &zeros, 0.0);
-        self.oram.write(slot, block, rng)?;
-        self.loaded.push((None, slot));
-        self.telemetry.loads.incr();
+        let n = blocks.len() as u64;
+        self.oram.build(blocks, rng)?;
+        self.loaded = loaded;
+        self.telemetry.loads.add(n);
         Ok(())
     }
 
     /// Serves one user download request (step ④): an ORAM read returning
     /// the entry value. One access per *request* (K per round), so serving
-    /// leaks nothing about duplicate structure.
+    /// leaks nothing about duplicate structure; a request for a dropped
+    /// entry pays the same access through
+    /// [`dummy_access`](Self::dummy_access).
     ///
     /// # Errors
     ///
@@ -286,14 +293,15 @@ impl BufferOram {
     pub fn serve<R: Rng>(&mut self, id: u64, rng: &mut R) -> Result<Vec<u8>, BufferError> {
         let slot = self.slot_of(id)?;
         let _trace = self.telemetry.registry.trace_span("buffer.serve");
-        let block = self.oram.read(slot, rng)?;
+        let mut block = self.oram.read(slot, rng)?;
+        block.truncate(self.entry_bytes);
         self.telemetry.serves.incr();
-        Ok(block[..self.entry_bytes].to_vec())
+        Ok(block)
     }
 
     /// Accumulates one user's (already pre-processed) gradient into the
     /// entry's aggregation half and adds `weight` to its `n` accumulator
-    /// (step ⑥). One ORAM access per uploaded gradient.
+    /// (step ⑥): one read-modify-write ORAM access per uploaded gradient.
     ///
     /// # Errors
     ///
@@ -316,47 +324,58 @@ impl BufferOram {
         );
         let slot = self.slot_of(id)?;
         let _trace = self.telemetry.registry.trace_span("buffer.aggregate");
-        let block = self.oram.read(slot, rng)?;
-        let mut agg = self.decode(id, &block);
-        for (a, g) in agg.gradient.iter_mut().zip(gradient) {
-            *a += *g;
-        }
-        agg.weight += weight;
-        let new_block = Self::encode(&agg.entry, &agg.gradient, agg.weight);
-        self.oram.write(slot, new_block, rng)?;
+        let entry_bytes = self.entry_bytes;
+        self.oram.update(
+            slot,
+            |block| {
+                let (sums, meta) = block[entry_bytes..].split_at_mut(entry_bytes);
+                for (sum, g) in sums.chunks_exact_mut(4).zip(gradient) {
+                    let total = crate::convert::le_f32(sum) + *g;
+                    sum.copy_from_slice(&total.to_le_bytes());
+                }
+                let n = crate::convert::le_f32(&meta[..4]) as f64 + weight;
+                meta[..4].copy_from_slice(&(n as f32).to_le_bytes());
+            },
+            rng,
+        )?;
         self.telemetry.aggregates.incr();
         Ok(())
     }
 
-    /// Serializes the buffer ORAM's full state — round working set,
-    /// controller (with its bucket counters), and encrypted DRAM store
-    /// image — into `w` for checkpointing. The AEAD key is *not*
+    /// One access to a uniformly random path that touches no entry: what
+    /// a serve or an aggregate for an entry the FDP mechanism dropped
+    /// costs, so the round's path count does not depend on which entries
+    /// were lost.
+    ///
+    /// # Errors
+    ///
+    /// Backend ORAM errors propagate.
+    pub fn dummy_access<R: Rng>(&mut self, rng: &mut R) -> Result<(), BufferError> {
+        let _trace = self.telemetry.registry.trace_span("buffer.dummy");
+        self.oram.dummy_access(rng)?;
+        Ok(())
+    }
+
+    /// Serializes what the buffer ORAM keeps across a restart: its shape
+    /// and the per-bucket counters. Checkpoints are taken between rounds,
+    /// when the buffer holds no entry, so neither the DRAM image nor the
+    /// stash or working set is needed; the counters keep every seal after
+    /// recovery at a fresh `(node, count)`. The AEAD key is *not*
     /// serialized (it is config-derived; checkpoints must not leak key
     /// material).
     pub fn encode_state(&self, w: &mut ByteWriter) {
+        debug_assert!(
+            self.loaded.is_empty(),
+            "checkpoints are taken between rounds"
+        );
         w.put_u64(self.capacity as u64);
         w.put_u64(self.entry_bytes as u64);
-        w.put_u64(self.loaded.len() as u64);
-        for (id, slot) in &self.loaded {
-            match id {
-                Some(v) => {
-                    w.put_bool(true);
-                    w.put_u64(*v);
-                }
-                None => {
-                    w.put_bool(false);
-                    w.put_u64(0);
-                }
-            }
-            w.put_u64(*slot);
-        }
-        self.oram.encode_controller_state(w);
-        self.oram.store().encode_state(w);
+        self.oram.encode_counters(w);
     }
 
     /// Restores state captured by [`encode_state`](Self::encode_state) onto
     /// a buffer ORAM constructed with the same capacity, entry size, and
-    /// key.
+    /// key. The next round's build re-seals every bucket.
     ///
     /// # Errors
     ///
@@ -368,41 +387,41 @@ impl BufferOram {
         if r.get_u64()? != self.entry_bytes as u64 {
             return Err(CodecError::Invalid("buffer-oram entry size mismatch"));
         }
-        let count = r.get_u64()? as usize;
-        if count > self.capacity {
-            return Err(CodecError::Invalid("buffer-oram working set over capacity"));
-        }
-        let mut loaded = Vec::with_capacity(count);
-        for _ in 0..count {
-            let is_real = r.get_bool()?;
-            let id = r.get_u64()?;
-            let slot = r.get_u64()?;
-            loaded.push((is_real.then_some(id), slot));
-        }
-        self.loaded = loaded;
-        self.oram.decode_controller_state(r)?;
-        self.oram.store_mut().decode_state(r)?;
+        self.oram.decode_counters(r)?;
+        self.loaded.clear();
         Ok(())
     }
 
     /// Drains every loaded entry with its accumulated gradient (step ⑦
-    /// input), clearing the round's working set. Dummy slots are read too
-    /// (same observable cost) and reported as a count.
+    /// input) with one sweep over the tree, clearing the round's working
+    /// set. Entries come back in load order; dummy slots are reported as
+    /// a count.
     ///
     /// # Errors
     ///
-    /// Backend ORAM errors propagate.
-    pub fn drain_round<R: Rng>(&mut self, rng: &mut R) -> Result<DrainedRound, BufferError> {
+    /// [`OramError::Drained`] when no round was loaded since the last
+    /// drain; backend ORAM errors propagate.
+    pub fn drain_round(&mut self) -> Result<DrainedRound, BufferError> {
         let _trace = self
             .telemetry
             .registry
             .trace_span_with("buffer.drain", &[("slots", self.loaded.len().into())]);
-        let loaded = std::mem::take(&mut self.loaded);
+        let mut blocks = self.oram.drain()?;
+        // Published once per round; the mark covers the whole round.
+        self.telemetry
+            .stash_high_water
+            .set_u64(self.oram.stash_high_water() as u64);
+        blocks.sort_unstable_by_key(|b| b.id);
+        let mut blocks = blocks.into_iter();
         let mut out = DrainedRound::default();
-        for (id, slot) in loaded {
-            let block = self.oram.read(slot, rng)?;
+        for (slot, id) in std::mem::take(&mut self.loaded).into_iter().enumerate() {
+            let slot = slot as u64;
+            let block = blocks
+                .next()
+                .filter(|b| b.id == slot)
+                .ok_or(OramError::MissingBlock { id: slot })?;
             match id {
-                Some(id) => out.entries.push(self.decode(id, &block)),
+                Some(id) => out.entries.push(self.decode(id, &block.payload)),
                 None => out.dummy_count += 1,
             }
         }
@@ -443,10 +462,15 @@ mod tests {
         vals.iter().flat_map(|v| v.to_le_bytes()).collect()
     }
 
+    /// A working set of real entries only.
+    fn entries(list: &[(u64, [f32; 4])]) -> Vec<Option<(u64, Vec<u8>)>> {
+        list.iter().map(|&(id, v)| Some((id, entry(v)))).collect()
+    }
+
     #[test]
     fn load_and_serve() {
         let (mut b, mut rng) = buffer(8);
-        b.load_entry(42, &entry([1.0, 2.0, 3.0, 4.0]), &mut rng)
+        b.load_round(entries(&[(42, [1.0, 2.0, 3.0, 4.0])]), &mut rng)
             .unwrap();
         let got = b.serve(42, &mut rng).unwrap();
         assert_eq!(f32s(&got), vec![1.0, 2.0, 3.0, 4.0]);
@@ -461,24 +485,25 @@ mod tests {
     #[test]
     fn capacity_enforced() {
         let (mut b, mut rng) = buffer(2);
-        b.load_entry(0, &entry([0.0; 4]), &mut rng).unwrap();
-        b.load_entry(1, &entry([0.0; 4]), &mut rng).unwrap();
+        let three = entries(&[(0, [0.0; 4]), (1, [0.0; 4]), (2, [0.0; 4])]);
         assert_eq!(
-            b.load_entry(2, &entry([0.0; 4]), &mut rng),
+            b.load_round(three, &mut rng),
             Err(BufferError::CapacityExceeded { capacity: 2 })
         );
+        b.load_round(entries(&[(0, [0.0; 4]), (1, [0.0; 4])]), &mut rng)
+            .unwrap();
     }
 
     #[test]
     fn aggregation_accumulates() {
         let (mut b, mut rng) = buffer(4);
-        b.load_entry(7, &entry([1.0, 1.0, 1.0, 1.0]), &mut rng)
+        b.load_round(entries(&[(7, [1.0, 1.0, 1.0, 1.0])]), &mut rng)
             .unwrap();
         b.aggregate(7, &[0.5, 0.0, -0.5, 1.0], 2.0, &mut rng)
             .unwrap();
         b.aggregate(7, &[0.5, 1.0, 0.5, -1.0], 3.0, &mut rng)
             .unwrap();
-        let drained = b.drain_round(&mut rng).unwrap();
+        let drained = b.drain_round().unwrap();
         assert_eq!(drained.entries.len(), 1);
         assert_eq!(drained.dummy_count, 0);
         let e = &drained.entries[0];
@@ -491,13 +516,14 @@ mod tests {
     #[test]
     fn drain_clears_round() {
         let (mut b, mut rng) = buffer(4);
-        b.load_entry(1, &entry([0.0; 4]), &mut rng).unwrap();
-        let first = b.drain_round(&mut rng).unwrap();
+        b.load_round(entries(&[(1, [0.0; 4])]), &mut rng).unwrap();
+        let first = b.drain_round().unwrap();
         assert_eq!(first.entries.len(), 1);
         assert_eq!(b.loaded_len(), 0);
-        assert!(b.drain_round(&mut rng).unwrap().entries.is_empty());
+        // A drained tree holds stale buckets until the next build.
+        assert_eq!(b.drain_round(), Err(BufferError::Oram(OramError::Drained)));
         // Slots are reusable next round.
-        b.load_entry(2, &entry([9.0, 0.0, 0.0, 0.0]), &mut rng)
+        b.load_round(entries(&[(2, [9.0, 0.0, 0.0, 0.0])]), &mut rng)
             .unwrap();
         assert_eq!(f32s(&b.serve(2, &mut rng).unwrap())[0], 9.0);
     }
@@ -506,7 +532,7 @@ mod tests {
     fn duplicate_serves_allowed() {
         // K requests > k_union entries: duplicates hit the same slot.
         let (mut b, mut rng) = buffer(4);
-        b.load_entry(5, &entry([2.0, 0.0, 0.0, 0.0]), &mut rng)
+        b.load_round(entries(&[(5, [2.0, 0.0, 0.0, 0.0])]), &mut rng)
             .unwrap();
         for _ in 0..10 {
             assert_eq!(f32s(&b.serve(5, &mut rng).unwrap())[0], 2.0);
@@ -516,13 +542,11 @@ mod tests {
     #[test]
     fn dummies_tracked_and_drained() {
         let (mut b, mut rng) = buffer(4);
-        b.load_entry(1, &entry([1.0, 0.0, 0.0, 0.0]), &mut rng)
-            .unwrap();
-        b.load_dummy(&mut rng).unwrap();
-        b.load_dummy(&mut rng).unwrap();
+        let mut slots = entries(&[(1, [1.0, 0.0, 0.0, 0.0])]);
+        slots.extend([None, None]);
+        b.load_round(slots, &mut rng).unwrap();
         assert_eq!(b.loaded_len(), 3);
-        assert!(b.is_loaded(1));
-        let d = b.drain_round(&mut rng).unwrap();
+        let d = b.drain_round().unwrap();
         assert_eq!(d.entries.len(), 1);
         assert_eq!(d.dummy_count, 2);
     }
@@ -530,19 +554,17 @@ mod tests {
     #[test]
     fn dummies_count_against_capacity() {
         let (mut b, mut rng) = buffer(2);
-        b.load_dummy(&mut rng).unwrap();
-        b.load_dummy(&mut rng).unwrap();
         assert_eq!(
-            b.load_dummy(&mut rng),
+            b.load_round(vec![None; 3], &mut rng),
             Err(BufferError::CapacityExceeded { capacity: 2 })
         );
+        b.load_round(vec![None; 2], &mut rng).unwrap();
     }
 
     #[test]
     fn blocks_are_double_size_plus_meta() {
         let (b, _) = buffer(4);
-        let geo = b.oram.store().geometry();
-        assert_eq!(geo.block_bytes(), 2 * 16 + AGG_META_BYTES);
+        assert_eq!(b.geometry().block_bytes(), 2 * 16 + AGG_META_BYTES);
     }
 
     #[test]
@@ -550,17 +572,22 @@ mod tests {
         let registry = Registry::new();
         let (mut b, mut rng) = buffer(4);
         b.set_telemetry(&registry);
-        b.load_entry(1, &entry([1.0, 0.0, 0.0, 0.0]), &mut rng)
-            .unwrap();
-        b.load_dummy(&mut rng).unwrap();
+        let mut slots = entries(&[(1, [1.0, 0.0, 0.0, 0.0])]);
+        slots.push(None);
+        b.load_round(slots, &mut rng).unwrap();
         b.serve(1, &mut rng).unwrap();
         b.aggregate(1, &[1.0, 0.0, 0.0, 0.0], 1.0, &mut rng)
             .unwrap();
-        b.drain_round(&mut rng).unwrap();
+        b.dummy_access(&mut rng).unwrap();
+        b.drain_round().unwrap();
         let snap = registry.snapshot();
         assert_eq!(snap.counter("oram.buffer.loads"), Some(2));
         assert_eq!(snap.counter("oram.buffer.serves"), Some(1));
         assert_eq!(snap.counter("oram.buffer.aggregates"), Some(1));
+        assert_eq!(
+            snap.gauge("oram.buffer.stash.high_water"),
+            Some(b.stash_high_water() as f64)
+        );
         assert!(snap.counter("dram.store.bytes_written").unwrap_or(0) > 0);
     }
 
@@ -569,11 +596,74 @@ mod tests {
         // A user "drops out": their gradient is simply never aggregated;
         // n_t reflects only survivors (dynamic adjustment of Eq. 1).
         let (mut b, mut rng) = buffer(4);
-        b.load_entry(3, &entry([0.0; 4]), &mut rng).unwrap();
+        b.load_round(entries(&[(3, [0.0; 4])]), &mut rng).unwrap();
         b.aggregate(3, &[1.0, 0.0, 0.0, 0.0], 1.0, &mut rng)
             .unwrap();
         // Second user drops out: no call.
-        let e = &b.drain_round(&mut rng).unwrap().entries[0];
+        let e = &b.drain_round().unwrap().entries[0];
         assert!((e.weight - 1.0).abs() < 1e-6);
+    }
+
+    /// Every slot loaded in a round drains back byte-identical and in
+    /// load order, round after round, whatever was served in between.
+    #[test]
+    fn every_slot_drains_back_byte_identical_over_many_rounds() {
+        let (mut b, mut rng) = buffer(32);
+        for round in 0..60u64 {
+            let k = rng.gen_range(0..=32usize);
+            let slots: Vec<Option<(u64, Vec<u8>)>> = (0..k as u64)
+                .map(|slot| {
+                    rng.gen_bool(0.8).then(|| {
+                        let id = round * 100 + slot;
+                        (id, (0..16).map(|_| rng.gen()).collect())
+                    })
+                })
+                .collect();
+            b.load_round(slots.clone(), &mut rng).unwrap();
+            let real: Vec<(u64, Vec<u8>)> = slots.iter().flatten().cloned().collect();
+            for _ in 0..rng.gen_range(0..64) {
+                match real.get(rng.gen_range(0..real.len().max(1))) {
+                    Some((id, bytes)) => assert_eq!(&b.serve(*id, &mut rng).unwrap(), bytes),
+                    None => b.dummy_access(&mut rng).unwrap(),
+                }
+            }
+            let drained = b.drain_round().unwrap();
+            assert_eq!(drained.dummy_count, k - real.len(), "round {round}");
+            let got: Vec<(u64, Vec<u8>)> = drained
+                .entries
+                .into_iter()
+                .map(|e| {
+                    assert_eq!(e.gradient, vec![0.0; 4]);
+                    assert_eq!(e.weight, 0.0);
+                    (e.id, e.entry)
+                })
+                .collect();
+            assert_eq!(got, real, "round {round}");
+        }
+    }
+
+    /// The buffer's stash stays small over many full rounds at the
+    /// benchmark's capacity: a build, one path per request and per
+    /// gradient, then a sweep.
+    #[test]
+    fn stash_high_water_stays_bounded_over_400_rounds() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut b = BufferOram::new(256, 4, Key::from_bytes([4; 32]), &mut rng);
+        for round in 0..400u64 {
+            let k = [166u64, 256, 18][round as usize % 3];
+            b.load_round((0..k).map(|id| Some((id, vec![0; 4]))).collect(), &mut rng)
+                .unwrap();
+            for _ in 0..256 {
+                let id = rng.gen_range(0..k);
+                b.serve(id, &mut rng).unwrap();
+                b.aggregate(id, &[1.0], 1.0, &mut rng).unwrap();
+            }
+            b.drain_round().unwrap();
+        }
+        assert!(
+            b.stash_high_water() <= 32,
+            "stash high water {}",
+            b.stash_high_water()
+        );
     }
 }

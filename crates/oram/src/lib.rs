@@ -122,6 +122,12 @@ pub enum OramError {
         /// The block id that could not be found.
         id: u64,
     },
+    /// A whole-tree build was asked for while blocks are live; it would
+    /// drop them.
+    BuildWhileLive,
+    /// The tree was drained and not yet rebuilt; an access or a second
+    /// drain would read stale buckets.
+    Drained,
 }
 
 impl core::fmt::Display for OramError {
@@ -140,6 +146,8 @@ impl core::fmt::Display for OramError {
             OramError::MissingBlock { id } => {
                 write!(f, "block {id} missing from assigned path and stash")
             }
+            OramError::BuildWhileLive => f.write_str("whole-tree build refused: blocks are live"),
+            OramError::Drained => f.write_str("tree is drained: only a build may follow"),
         }
     }
 }

@@ -190,12 +190,11 @@ impl RecursivePositionMap {
         rng: &mut R,
     ) -> Result<(), OramError> {
         self.accesses += 1;
-        let mut payload = self.levels[level].read(block, rng)?;
-        payload[slot * 8..(slot + 1) * 8].copy_from_slice(&value.to_le_bytes());
-        // The read displaced the block; write must target the *new*
-        // position, which PathOram handles internally by id.
-        self.levels[level].write(block, payload, rng)?;
-        Ok(())
+        self.levels[level].update(
+            block,
+            |payload| payload[slot * 8..(slot + 1) * 8].copy_from_slice(&value.to_le_bytes()),
+            rng,
+        )
     }
 
     /// Walks the recursion to `id`'s leaf. Each level lookup also

@@ -82,6 +82,12 @@ impl Stash {
         out
     }
 
+    /// Removes and returns every block, leaving the stash empty (the
+    /// high-water mark stays).
+    pub fn take_all(&mut self) -> Vec<Block> {
+        std::mem::take(&mut self.blocks)
+    }
+
     /// Iterates over the stashed blocks.
     pub fn iter(&self) -> impl Iterator<Item = &Block> {
         self.blocks.iter()

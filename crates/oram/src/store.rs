@@ -742,46 +742,6 @@ impl DramBucketStore {
     pub fn with_default_dram(geometry: TreeGeometry, key: Key) -> Self {
         Self::new(geometry, key, DramProfile::default())
     }
-
-    /// Serializes the store's state — the encrypted DRAM image and its
-    /// statistics — into `w` for checkpointing. The AEAD key is not
-    /// persisted.
-    pub fn encode_state(&self, w: &mut ByteWriter) {
-        let (bytes, stats) = self.dram.snapshot_state();
-        w.put_bytes(&bytes);
-        for v in [
-            stats.pages_read,
-            stats.pages_written,
-            stats.bytes_read,
-            stats.bytes_written,
-            stats.busy_ns,
-        ] {
-            w.put_u64(v);
-        }
-    }
-
-    /// Restores state captured by [`encode_state`](Self::encode_state) onto
-    /// a store of the same geometry.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] on truncation or a geometry mismatch.
-    pub fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        let bytes = r.get_bytes()?;
-        if bytes.len() as u64 != self.dram.capacity_bytes() {
-            return Err(CodecError::Invalid("dram image length mismatch"));
-        }
-        let stats = DeviceStats {
-            pages_read: r.get_u64()?,
-            pages_written: r.get_u64()?,
-            bytes_read: r.get_u64()?,
-            bytes_written: r.get_u64()?,
-            busy_ns: r.get_u64()?,
-            ..DeviceStats::default()
-        };
-        self.dram.restore_state(bytes, stats);
-        Ok(())
-    }
 }
 
 impl BucketStore for DramBucketStore {

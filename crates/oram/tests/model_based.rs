@@ -137,10 +137,11 @@ fn buffer_oram_matches_model() {
             if model.iter().any(|(mid, ..)| mid == id) {
                 continue; // protocol loads each unique id once
             }
-            buf.load_entry(*id, &[*v; 8], &mut rng)
-                .expect("capacity 32 >= 24");
             model.push((*id, *v, 0.0, 0.0));
         }
+        let slots = model.iter().map(|&(id, v, ..)| Some((id, vec![v; 8])));
+        buf.load_round(slots.collect(), &mut rng)
+            .expect("capacity 32 >= 24");
         for (slot, g) in &aggs {
             let idx = *slot % model.len();
             let (id, _, grad, weight) = &mut model[idx];
@@ -149,7 +150,7 @@ fn buffer_oram_matches_model() {
             *grad += *g;
             *weight += 1.0;
         }
-        let drained = buf.drain_round(&mut rng).expect("drain");
+        let drained = buf.drain_round().expect("drain");
         assert_eq!(drained.entries.len(), model.len(), "case {case}");
         for want in &model {
             let got = drained

@@ -178,11 +178,41 @@ fn hide_count_mode_fixes_per_user_requests() {
 
 /// The DIN-style attention model trains through the full FEDORA pipeline
 /// unchanged — the server sees the same rows either way (pooling is
-/// client-side).
+/// client-side). One seed's AUC gain is about the size of its noise, so
+/// the claim is a positive mean gain over a fixed set of seeds.
 #[test]
 fn attention_model_trains_through_pipeline() {
     let data = dataset();
-    let mut rng = StdRng::seed_from_u64(90);
+    let seeds: Vec<u64> = (90..102).collect();
+    let gains: Vec<f64> = std::thread::scope(|scope| {
+        let workers: Vec<_> = seeds
+            .chunks(seeds.len() / 2)
+            .map(|chunk| {
+                let data = &data;
+                scope.spawn(move || {
+                    chunk
+                        .iter()
+                        .map(|&seed| attention_gain(data, seed))
+                        .collect::<Vec<f64>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("training thread"))
+            .collect()
+    });
+    let mean = gains.iter().sum::<f64>() / gains.len() as f64;
+    assert!(
+        mean > 0.0,
+        "attention training regressed on average: mean AUC gain {mean:+.4} over seeds {seeds:?} ({gains:.4?})"
+    );
+}
+
+/// AUC gain of 12 pipeline rounds on the attention model initialized from
+/// seed 91, with the training RNG seeded with `seed`.
+fn attention_gain(data: &Dataset, seed: u64) -> f64 {
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut m = {
         let mut mrng = StdRng::seed_from_u64(91);
         DlrmModel::new(
@@ -196,18 +226,14 @@ fn attention_model_trains_through_pipeline() {
             &mut mrng,
         )
     };
-    let base_auc = evaluate_auc(&m, &data);
+    let base_auc = evaluate_auc(&m, data);
     let out = train_with_fedora(
         &mut m,
-        &data,
+        data,
         &training_cfg(12, Some((ProtectionMode::HideValue, 1.0))),
         &mut rng,
     )
     .expect("pipeline");
-    assert!(
-        out.auc > base_auc,
-        "attention training regressed: {base_auc:.4} -> {:.4}",
-        out.auc
-    );
     assert!(out.total_accesses > 0);
+    out.auc - base_auc
 }

@@ -228,3 +228,46 @@ fn dummy_and_real_round_io_identical_given_same_k() {
     assert_eq!(same_delta.pages_read, unique_delta.pages_read);
     assert_eq!(same_delta.pages_written, unique_delta.pages_written);
 }
+
+/// The buffer ORAM's DRAM traffic is a public function of the request
+/// count K and the upload count A: one whole-tree build, one path per
+/// serve and per aggregate (lost entries included), one sweep. Rounds
+/// with equal K and A move the same buckets whatever their duplicate
+/// structure, `k_union` and lost entries.
+#[test]
+fn buffer_dram_traffic_depends_only_on_request_and_upload_counts() {
+    let mut rng = StdRng::seed_from_u64(41);
+    let mut config = FedoraConfig::for_testing(TableSpec::tiny(TABLE), 64);
+    config.privacy = PrivacyConfig::with_epsilon(0.5);
+    let mut server = FedoraServer::new(config, |_| vec![0u8; 32], &mut rng);
+    let geo = server.buffer_oram().geometry();
+    let (k, a) = (48usize, 40usize);
+    let per_round = geo.num_nodes() + (k + a) as u64 * u64::from(geo.num_levels());
+    let distinct: Vec<u64> = (0..k as u64).map(|i| i * 7 % TABLE).collect();
+    let repeated: Vec<u64> = (0..k as u64).map(|i| 300 + i % 5).collect();
+    let mut k_unions = HashSet::new();
+    let mut lost_rounds = 0;
+    let mut mode = FedAvg;
+    for round in 0..12 {
+        let requests = if round % 2 == 0 { &distinct } else { &repeated };
+        server.begin_round(requests, &mut rng).expect("round");
+        for &id in requests {
+            server.serve(id, &mut rng).expect("serve");
+        }
+        for &id in &requests[..a] {
+            server
+                .aggregate(&mode, id, &[0.5; 8], 1, &mut rng)
+                .expect("aggregate");
+        }
+        let report = server.end_round(&mut mode, 1.0, &mut rng).expect("end");
+        assert_eq!(report.buffer_dram.pages_read, per_round, "round {round}");
+        assert_eq!(report.buffer_dram.pages_written, per_round, "round {round}");
+        k_unions.insert(report.k_union);
+        lost_rounds += usize::from(report.lost > 0);
+    }
+    assert!(
+        k_unions.len() > 1,
+        "the rounds differ in k_union: {k_unions:?}"
+    );
+    assert!(lost_rounds > 0, "some round lost entries");
+}

@@ -136,7 +136,7 @@ fn traced_round_yields_complete_causal_tree() {
         "union happens inside the read phase: {union_chain:?}"
     );
     chain_to_round("oram.access");
-    chain_to_round("buffer.load");
+    chain_to_round("buffer.build");
     chain_to_round("buffer.serve");
     chain_to_round("buffer.aggregate");
     chain_to_round("buffer.drain");
