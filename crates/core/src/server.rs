@@ -878,28 +878,28 @@ impl FedoraServer {
             .map_err(|what| DurableError::Codec(CodecError::Invalid(what)).into())
     }
 
-    /// Attaches a state directory: opens (creating if needed) the
-    /// write-ahead round journal there and, if the directory holds no
-    /// checkpoint yet, writes the baseline (generation 0) checkpoint so a
-    /// crash in the very first round is recoverable.
+    /// Attaches a fresh state directory: writes the whole device image
+    /// there, opens an empty write-ahead round journal and writes the
+    /// baseline checkpoint (generation 0), so a crash in the very first
+    /// round is recoverable.
     ///
     /// # Errors
     ///
-    /// [`FedoraError::Durable`] on I/O failure.
+    /// [`FedoraError::Durable`] with [`DurableError::StateExists`] when the
+    /// directory already holds a checkpoint (resume it with
+    /// [`Self::recover`] instead); [`FedoraError::Durable`] on I/O failure.
     pub fn enable_durability(&mut self, dir: &Path) -> Result<(), FedoraError> {
         let key = Self::master_key().derive_subkey("durable");
-        let state = DurableState::open(dir, key)?;
-        let fresh = state.next_generation() == 0;
-        self.durable = Some(state);
-        if fresh {
-            self.checkpoint_inner()?;
-        }
+        let ssd = self.main.store_mut().ssd_mut();
+        self.durable = Some(DurableState::create(dir, key, ssd, &self.registry)?);
+        let stats = self.write_checkpoint()?;
+        self.finish_checkpoint(stats)?;
         Ok(())
     }
 
-    /// Writes a checkpoint of the full server state now (between
-    /// rounds). Rounds also checkpoint automatically as part of their
-    /// commit.
+    /// Writes a checkpoint now (between rounds), with the pages the device
+    /// changed since the previous one (a bucket repair, say). Rounds also
+    /// checkpoint automatically as part of their commit.
     ///
     /// # Errors
     ///
@@ -912,34 +912,61 @@ impl FedoraServer {
         if self.active.is_some() {
             return Err(FedoraError::RoundInProgress);
         }
-        self.checkpoint_inner()
+        let stats = self.write_checkpoint()?;
+        self.finish_checkpoint(stats)
     }
 
-    fn checkpoint_inner(&mut self) -> Result<CheckpointStats, FedoraError> {
+    /// Step 1 of a durable commit: seals the controller state and writes
+    /// it, with the device pages changed since the previous generation,
+    /// as the next checkpoint generation.
+    fn write_checkpoint(&mut self) -> Result<CheckpointStats, FedoraError> {
         let started = Instant::now();
         let body = self.encode_checkpoint_body();
         let Some(d) = self.durable.as_mut() else {
             return Err(DurableError::NotEnabled.into());
         };
-        let (generation, bytes) = d.write_checkpoint(&body)?;
-        let ns = started.elapsed().as_nanos() as u64;
+        let mut stats = d.write_checkpoint(&body, self.main.store_mut().ssd_mut())?;
+        stats.ns = started.elapsed().as_nanos() as u64;
+        Ok(stats)
+    }
+
+    /// Steps 4–5 of a durable commit, after its Commit record: writes the
+    /// previous generation's pages into the device image and prunes, then
+    /// publishes the checkpoint series. `durable.checkpoint.ns` covers
+    /// both this and [`Self::write_checkpoint`].
+    fn finish_checkpoint(
+        &mut self,
+        mut stats: CheckpointStats,
+    ) -> Result<CheckpointStats, FedoraError> {
+        let started = Instant::now();
+        let Some(d) = self.durable.as_mut() else {
+            return Err(DurableError::NotEnabled.into());
+        };
+        d.apply_and_prune(self.main.store().ssd())?;
+        stats.ns += started.elapsed().as_nanos() as u64;
         if self.registry.is_enabled() {
             self.registry.counter("durable.checkpoints").incr();
             self.registry
                 .gauge("durable.checkpoint.bytes")
-                .set_u64(bytes);
-            self.registry.gauge("durable.checkpoint.ns").set_u64(ns);
+                .set_u64(stats.bytes);
+            self.registry
+                .gauge("durable.checkpoint.ns")
+                .set_u64(stats.ns);
+            self.registry
+                .gauge("durable.redo.bytes")
+                .set_u64(stats.redo_bytes);
+            self.registry
+                .gauge("durable.redo.pages")
+                .set_u64(stats.redo_pages);
         }
-        Ok(CheckpointStats {
-            generation,
-            bytes,
-            ns,
-        })
+        Ok(stats)
     }
 
     /// Recovers this (freshly built, same-configuration) server from the
-    /// state directory: restores the newest loadable checkpoint, then
-    /// replays the journal — every round-begin record at or past the
+    /// state directory: restores the newest loadable checkpoint and the
+    /// device pages it names (`device.img` plus the retained redo
+    /// sections, see [`DurableState::resume`]), then replays the
+    /// journal — every round-begin record at or past the
     /// restored round is a *torn* round whose ε is charged to the
     /// accountant anyway. A crash therefore can only over-report
     /// leakage, never under-report it. Returns the committed round count
@@ -954,8 +981,8 @@ impl FedoraServer {
     /// [`IntegrityError::Rollback`] when the newest loadable checkpoint
     /// is *older* than the journal's newest commit (a rolled-back /
     /// stale checkpoint — restoring it would silently rewind committed
-    /// state); other [`FedoraError::Durable`] values on I/O or
-    /// tampering.
+    /// state); other [`FedoraError::Durable`] values on I/O, tampering, or
+    /// a missing or wrong-size device image.
     pub fn recover(&mut self, dir: &Path) -> Result<u64, FedoraError> {
         self.refuse_if_stopped()?;
         if self.active.is_some() {
@@ -963,10 +990,11 @@ impl FedoraServer {
         }
         let key = Self::master_key().derive_subkey("durable");
         let records = durable::read_records(dir, &key)?;
-        let Some((generation, body)) = durable::load_latest_checkpoint(dir, &key)? else {
+        let Some(landed) = durable::load_latest_checkpoint(dir, &key)? else {
             return Err(DurableError::NoCheckpoint.into());
         };
-        self.apply_checkpoint_body(&body)
+        let generation = landed.generation;
+        self.apply_checkpoint_body(&landed.body)
             .map_err(DurableError::Codec)?;
         // Stale-checkpoint detection: a commit record for round r means a
         // checkpoint with committed_rounds ≥ r+1 was durable before the
@@ -986,6 +1014,10 @@ impl FedoraServer {
                 }));
             }
         }
+        // Only now, with the checkpoint accepted, do the device pages come
+        // back: the image, then the retained redo sections.
+        let ssd = self.main.store_mut().ssd_mut();
+        self.durable = Some(DurableState::resume(dir, key, landed, ssd, &self.registry)?);
         // Conservative ε replay: any begin record at or past the restored
         // round belongs to a torn (or aborted) round whose in-memory
         // accounting was lost. Charge each one; over-reporting is safe.
@@ -1013,7 +1045,6 @@ impl FedoraServer {
                 ("torn_rounds", torn.into()),
             ],
         );
-        self.durable = Some(DurableState::open(dir, key)?);
         Ok(self.committed_rounds)
     }
 
@@ -1101,19 +1132,23 @@ impl FedoraServer {
         Ok(())
     }
 
-    /// Serializes the full server state for a checkpoint: round counter,
-    /// budget flag, accountant, entry quarantine, last committed report,
-    /// aggregation-mode optimizer state, main-ORAM controller (EO count,
-    /// repaired buckets) + store (SSD image, cumulative integrity stats,
-    /// node quarantine), and the buffer ORAM's bucket counters.
+    /// Serializes the controller state for a checkpoint: round counter,
+    /// budget flag, accountant (its runs of equal ε), entry quarantine,
+    /// last committed report, aggregation-mode optimizer state, main-ORAM
+    /// controller (EO count, repaired buckets) + store (cumulative
+    /// integrity stats, node quarantine, the SSD's written-page map and
+    /// statistics), and the buffer ORAM's bucket counters. The SSD's pages
+    /// are not in it: the durable writer keeps them in the device image
+    /// and the redo sections.
     fn encode_checkpoint_body(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_u64(self.committed_rounds);
         w.put_bool(self.budget_flagged);
-        let per_round = self.accountant.per_round();
-        w.put_u64(per_round.len() as u64);
-        for &e in per_round {
+        let runs = self.accountant.runs();
+        w.put_u64(runs.len() as u64);
+        for &(e, n) in runs {
             w.put_f64(e);
+            w.put_u64(n);
         }
         w.put_u64(self.accountant.poisoned_rounds());
         let mut quarantined: Vec<u64> = self.quarantined_ids.iter().copied().collect();
@@ -1137,12 +1172,12 @@ impl FedoraServer {
         self.committed_rounds = r.get_u64()?;
         self.budget_flagged = r.get_bool()?;
         let n = r.get_u64()? as usize;
-        let mut per_round = Vec::new();
+        let mut runs = Vec::new();
         for _ in 0..n {
-            per_round.push(r.get_f64()?);
+            runs.push((r.get_f64()?, r.get_u64()?));
         }
         let poisoned = r.get_u64()?;
-        self.accountant = FdpAccountant::from_state(&per_round, poisoned);
+        self.accountant = FdpAccountant::from_state(&runs, poisoned);
         self.quarantined_ids = r.get_u64s()?.into_iter().collect();
         self.last_committed = if r.get_bool()? {
             Some(RoundReport::decode_state(&mut r)?)
@@ -1158,7 +1193,8 @@ impl FedoraServer {
 
     /// Durably commits the just-finished round: checkpoint first (data
     /// sync), then the journal commit record (commit marker — classic
-    /// WAL ordering). A crash in the window between the two recovers
+    /// WAL ordering), then the previous generation's pages into the
+    /// device image. A crash in the window between the first two recovers
     /// *forward* to the checkpoint, which already holds the round's
     /// state and ε — never backward past it.
     ///
@@ -1175,7 +1211,7 @@ impl FedoraServer {
     ) -> Result<(), FedoraError> {
         if self.durable.is_some() {
             let round = self.committed_rounds - 1;
-            let stats = match self.checkpoint_inner() {
+            let stats = match self.write_checkpoint() {
                 Ok(stats) => stats,
                 Err(e) => {
                     self.committed_rounds -= 1;
@@ -1189,6 +1225,7 @@ impl FedoraServer {
             if let Some(d) = self.durable.as_mut() {
                 d.append_commit(round, stats.generation, total, digest)?;
             }
+            self.finish_checkpoint(stats)?;
         } else if let Err(e) = self.crash_check(CrashPoint::PostDataSyncPreCommit) {
             // No durable state to recover forward to: the simulated kill
             // means this round committed nowhere.
@@ -2829,7 +2866,7 @@ mod tests {
         let (_s, _) = durable_server(&dir, 3);
         // Simulate a rollback attack / stale backup: delete the newer
         // checkpoints so only generations older than the newest commit
-        // record remain. (Keep-last-2 retains gens 2 and 3 here; commit
+        // record remain. (The commit keeps gens 2 and 3 here; commit
         // records exist for rounds 0..3.)
         let mut gens = crate::durable::list_checkpoints(&dir).unwrap();
         let newest = gens.pop().unwrap();
@@ -2918,6 +2955,98 @@ mod tests {
             assert!(ns > 0.0 && ns < 500e6, "threads={threads}: {ns} ns");
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn enable_durability_refuses_a_used_directory() {
+        let dir = temp_state_dir("used-dir");
+        let (s, _) = durable_server(&dir, 2);
+        drop(s);
+        let journal = std::fs::read(dir.join("journal.log")).unwrap();
+        let image = std::fs::read(dir.join("device.img")).unwrap();
+        let (mut other, mut rng) = server(Some(0.5));
+        assert_eq!(
+            other.enable_durability(&dir).unwrap_err(),
+            FedoraError::Durable(DurableError::StateExists)
+        );
+        // The refused server stays non-durable, and its rounds touch
+        // nothing in the directory.
+        other.begin_round(&[1, 2], &mut rng).unwrap();
+        other.end_round(&mut FedAvg, 1.0, &mut rng).unwrap();
+        assert_eq!(std::fs::read(dir.join("journal.log")).unwrap(), journal);
+        assert_eq!(std::fs::read(dir.join("device.img")).unwrap(), image);
+        let (mut t, _) = server(Some(0.5));
+        assert_eq!(t.recover(&dir).unwrap(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn redo_holds_the_pages_written_since_the_previous_generation() {
+        let dir = temp_state_dir("redo");
+        let (mut s, mut rng) = server(Some(0.5));
+        let (mut plain, mut plain_rng) = server(Some(0.5));
+        s.enable_durability(&dir).unwrap();
+        let recorder = AccessTraceRecorder::new();
+        s.set_access_recorder(recorder.clone());
+        let page_bytes = s.config().ssd.page_bytes as u64;
+        let file_len = |name: &str| std::fs::metadata(dir.join(name)).unwrap().len();
+        let mut prev_redo_bytes = 0;
+        let mut total_pages = 0;
+        let mut mode = FedAvg;
+        let mut plain_mode = FedAvg;
+        for round in 0..5u64 {
+            let reqs: Vec<u64> = (0..12).map(|i| (i * 9 + round * 5) % 128).collect();
+            recorder.clear();
+            let written_before = s.registry().snapshot().counter("durable.bytes.written");
+            let journal_before = file_len("journal.log");
+            s.begin_round(&reqs, &mut rng).unwrap();
+            plain.begin_round(&reqs, &mut plain_rng).unwrap();
+            for &id in &reqs {
+                assert_eq!(
+                    s.serve(id, &mut rng).unwrap(),
+                    plain.serve(id, &mut plain_rng).unwrap()
+                );
+            }
+            let report = s.end_round(&mut mode, 1.0, &mut rng).unwrap();
+            let plain_report = plain
+                .end_round(&mut plain_mode, 1.0, &mut plain_rng)
+                .unwrap();
+            assert_eq!(report.scrubbed(), plain_report.scrubbed(), "round {round}");
+
+            let mut pages: Vec<u64> = recorder
+                .snapshot()
+                .iter()
+                .filter(|r| r.op == fedora_storage::AccessOp::Write)
+                .map(|r| r.page)
+                .collect();
+            pages.sort_unstable();
+            pages.dedup();
+            total_pages += pages.len();
+            let m = s.registry().snapshot();
+            let redo_bytes = pages.len() as u64 * page_bytes;
+            assert_eq!(m.gauge("durable.redo.pages"), Some(pages.len() as f64));
+            assert_eq!(m.gauge("durable.redo.bytes"), Some(redo_bytes as f64));
+            // Everything the writer put on disk: the new checkpoint file,
+            // the journal's two records, and the previous generation's
+            // pages written into the image.
+            let generation = round + 1;
+            let ckpt = file_len(&format!("ckpt-{generation:020}.bin"));
+            assert_eq!(
+                m.counter("durable.bytes.written").unwrap() - written_before.unwrap(),
+                ckpt + (file_len("journal.log") - journal_before) + prev_redo_bytes,
+                "round {round}"
+            );
+            assert!(ckpt >= redo_bytes + m.gauge("durable.checkpoint.bytes").unwrap() as u64);
+            prev_redo_bytes = redo_bytes;
+        }
+        assert!(total_pages > 0, "some round must have evicted");
+        // Same seed, same device: durability never touches the pages.
+        let (a, b) = (s.main_oram().store().ssd(), plain.main_oram().store().ssd());
+        for page in 0..a.num_pages() {
+            assert_eq!(a.snapshot_page(page), b.snapshot_page(page), "page {page}");
+        }
+        assert_eq!(a.stats(), b.stats());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -55,9 +55,13 @@ impl ProtectionMode {
 /// reports both the per-round guarantee and the naive sequential
 /// composition over rounds (the conservative bound the paper's framework
 /// inherits from DP).
+///
+/// The history is kept as runs of equal ε, so a run at a fixed ε holds
+/// one run however many rounds it lasts.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FdpAccountant {
-    per_round: Vec<f64>,
+    /// `(ε, rounds)` runs, oldest first; consecutive runs differ in ε.
+    runs: Vec<(f64, u64)>,
     /// Cached Σ εᵢ, maintained on every accepted record so
     /// [`total_epsilon`](Self::total_epsilon) is O(1) instead of re-summing
     /// the whole history on every ledger publish.
@@ -87,7 +91,10 @@ impl FdpAccountant {
             self.poisoned += 1;
             return false;
         }
-        self.per_round.push(epsilon);
+        match self.runs.last_mut() {
+            Some((e, n)) if e.to_bits() == epsilon.to_bits() => *n += 1,
+            _ => self.runs.push((epsilon, 1)),
+        }
         // Both operands are non-negative, so the sum cannot produce NaN;
         // overflow saturates to +∞, which is the correct reading.
         self.total += epsilon;
@@ -96,7 +103,7 @@ impl FdpAccountant {
 
     /// Number of recorded rounds.
     pub fn rounds(&self) -> usize {
-        self.per_round.len()
+        self.runs.iter().map(|&(_, n)| n as usize).sum()
     }
 
     /// Number of rejected (NaN/negative ε) record attempts.
@@ -106,44 +113,43 @@ impl FdpAccountant {
 
     /// The strongest (smallest) per-round guarantee seen.
     pub fn best_round_epsilon(&self) -> Option<f64> {
-        self.per_round.iter().copied().fold(None, |acc, e| {
-            Some(match acc {
-                None => e,
-                Some(a) => a.min(e),
-            })
-        })
+        self.runs.iter().map(|&(e, _)| e).reduce(f64::min)
     }
 
     /// The weakest (largest) per-round guarantee seen.
     pub fn worst_round_epsilon(&self) -> Option<f64> {
-        self.per_round.iter().copied().fold(None, |acc, e| {
-            Some(match acc {
-                None => e,
-                Some(a) => a.max(e),
-            })
-        })
+        self.runs.iter().map(|&(e, _)| e).reduce(f64::max)
     }
 
-    /// The per-round ε history, oldest first (the checkpoint path persists
-    /// this verbatim so a restored accountant reports identical bounds).
-    pub fn per_round(&self) -> &[f64] {
-        &self.per_round
+    /// The ε history as `(ε, rounds)` runs, oldest first (the checkpoint
+    /// path persists these so a restored accountant reports identical
+    /// bounds).
+    pub fn runs(&self) -> &[(f64, u64)] {
+        &self.runs
     }
 
-    /// Reconstructs an accountant from persisted state: the full per-round
-    /// history plus the poisoned-round count. The cached total is re-derived
-    /// from the history, so a checkpoint cannot smuggle in an inconsistent
-    /// total. Ill-formed entries (NaN/negative) are rejected exactly as
-    /// [`record_round`](Self::record_round) would reject them, which keeps
-    /// restoration conservative: it can only add to `poisoned`.
-    pub fn from_state(per_round: &[f64], poisoned: u64) -> Self {
+    /// Reconstructs an accountant from persisted state: the `(ε, rounds)`
+    /// runs plus the poisoned-round count. The cached total is re-derived
+    /// by the same round-by-round sum [`record_round`](Self::record_round)
+    /// makes, so it is bit-identical to the original and a checkpoint
+    /// cannot smuggle in an inconsistent total. An ill-formed run (NaN or
+    /// negative ε) is rejected round for round exactly as `record_round`
+    /// would reject it, which keeps restoration conservative: it can only
+    /// add to `poisoned`.
+    pub fn from_state(runs: &[(f64, u64)], poisoned: u64) -> Self {
         let mut a = FdpAccountant {
-            per_round: Vec::with_capacity(per_round.len()),
+            runs: Vec::with_capacity(runs.len()),
             total: 0.0,
             poisoned,
         };
-        for &e in per_round {
-            a.record_round(e);
+        for &(e, n) in runs {
+            if e.is_nan() || e < 0.0 {
+                a.poisoned = a.poisoned.saturating_add(n);
+                continue;
+            }
+            for _ in 0..n {
+                a.record_round(e);
+            }
         }
         a
     }
@@ -229,14 +235,74 @@ mod tests {
         a.record_round(0.5);
         a.record_round(0.25);
         assert!(!a.record_round(f64::NAN));
-        let b = FdpAccountant::from_state(a.per_round(), a.poisoned_rounds());
+        let b = FdpAccountant::from_state(a.runs(), a.poisoned_rounds());
         assert_eq!(b, a);
         assert_eq!(b.total_epsilon(), a.total_epsilon());
         // A tampered history cannot smuggle NaN into the total.
-        let c = FdpAccountant::from_state(&[0.5, f64::NAN], 0);
+        let c = FdpAccountant::from_state(&[(0.5, 1), (f64::NAN, 2)], 0);
         assert_eq!(c.rounds(), 1);
-        assert_eq!(c.poisoned_rounds(), 1);
+        assert_eq!(c.poisoned_rounds(), 2);
         assert_eq!(c.total_epsilon(), 0.5);
+    }
+
+    #[test]
+    fn equal_epsilon_rounds_hold_one_run() {
+        let mut a = FdpAccountant::new();
+        for _ in 0..100_000 {
+            assert!(a.record_round(0.01));
+        }
+        assert_eq!(a.runs(), &[(0.01, 100_000)]);
+        assert_eq!(a.rounds(), 100_000);
+        let b = FdpAccountant::from_state(a.runs(), 0);
+        assert_eq!(b.total_epsilon().to_bits(), a.total_epsilon().to_bits());
+    }
+
+    #[test]
+    fn runs_restore_exactly_what_the_per_round_history_reports() {
+        let sequence = [
+            0.5,
+            0.5,
+            f64::NAN,
+            0.1,
+            0.1,
+            0.1,
+            -1.0,
+            f64::INFINITY,
+            0.5,
+            0.3,
+            0.3,
+            f64::NAN,
+            0.7,
+        ];
+        let mut a = FdpAccountant::new();
+        let mut history = Vec::new();
+        let mut poisoned = 0u64;
+        for &e in &sequence {
+            if a.record_round(e) {
+                history.push(e);
+            } else {
+                poisoned += 1;
+            }
+        }
+        let b = FdpAccountant::from_state(a.runs(), a.poisoned_rounds());
+        for acct in [&a, &b] {
+            assert_eq!(acct.rounds(), history.len());
+            assert_eq!(acct.poisoned_rounds(), poisoned);
+            assert_eq!(
+                acct.total_epsilon().to_bits(),
+                history.iter().fold(0.0f64, |t, &e| t + e).to_bits()
+            );
+            assert_eq!(
+                acct.best_round_epsilon(),
+                history.iter().copied().reduce(f64::min)
+            );
+            assert_eq!(
+                acct.worst_round_epsilon(),
+                history.iter().copied().reduce(f64::max)
+            );
+        }
+        assert_eq!(a.runs().len(), 6);
+        assert_eq!(b, a);
     }
 
     #[test]

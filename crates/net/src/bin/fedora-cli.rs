@@ -44,7 +44,8 @@ COMMANDS:
                default 1 — thread count never changes results)
                --state-dir DIR (durable mode: restore any prior
                checkpointed state, journal + checkpoint the round)
-    checkpoint write a fresh full-state checkpoint
+    checkpoint write a fresh checkpoint (controller state plus the
+               device pages changed since the previous one)
                --state-dir DIR  --entries N  --epsilon E
     restore    recover from a state dir and report what was restored
                --state-dir DIR  --entries N  --epsilon E
@@ -169,8 +170,8 @@ fn u64_flag(flags: &HashMap<String, String>, key: &str, default: u64) -> Result<
 
 /// Attaches `server` to `--state-dir`: recovers when checkpointed state
 /// already exists there, otherwise initialises a fresh durable store
-/// (baseline checkpoint + empty journal). Returns the restored committed
-/// round count (0 when starting fresh).
+/// (device image, baseline checkpoint, empty journal). Returns the
+/// restored committed round count (0 when starting fresh).
 fn attach_state_dir(server: &mut FedoraServer, dir: &str) -> Result<u64, String> {
     let path = std::path::Path::new(dir);
     let existing = fedora::durable::list_checkpoints(path).map_err(|e| e.to_string())?;
@@ -334,10 +335,11 @@ fn cmd_checkpoint(flags: &HashMap<String, String>) -> Result<(), String> {
     let rounds = attach_state_dir(&mut server, dir)?;
     let stats = server.checkpoint().map_err(|e| e.to_string())?;
     println!(
-        "  checkpoint generation {} written: {} bytes in {:.3} ms \
-         (committed rounds = {rounds})",
+        "  checkpoint generation {} written: {} bytes of controller state \
+         + {} redo bytes in {:.3} ms (committed rounds = {rounds})",
         stats.generation,
         stats.bytes,
+        stats.redo_bytes,
         stats.ns as f64 / 1e6
     );
     write_metrics(flags, &server.registry().snapshot())

@@ -407,11 +407,12 @@ impl SsdBucketStore {
     }
 
     /// Serializes the store's durable state — cumulative integrity
-    /// statistics, the quarantine set, and the full SSD image — into `w`
-    /// for checkpointing. Bucket counters belong to the controller; the
-    /// AEAD key, resilience knobs, telemetry handles, worker pool, and
-    /// armed fault injector are not persisted (recovery re-derives,
-    /// reconfigures or re-arms them).
+    /// statistics, the quarantine set, and the SSD's metadata (see
+    /// [`SimSsd::encode_state`]) — into `w` for checkpointing. The SSD's
+    /// pages are the durable writer's to copy, through [`Self::ssd`].
+    /// Bucket counters belong to the controller; the AEAD key, resilience
+    /// knobs, telemetry handles, worker pool, and armed fault injector are
+    /// not persisted (recovery re-derives, reconfigures or re-arms them).
     pub fn encode_state(&self, w: &mut ByteWriter) {
         let s = &self.integrity;
         for v in [

@@ -4,10 +4,10 @@
 //! Everything the crash-recovery subsystem persists goes through this
 //! module, so the commit discipline lives in exactly one place:
 //!
-//! * [`atomic_write_file`] — write to a same-directory temp file,
-//!   `sync_all`, rename over the target, then fsync the directory. A crash
-//!   at any point leaves either the old file or the new file, never a torn
-//!   mix.
+//! * [`atomic_write_file`] / [`atomic_write_with`] — write to a
+//!   same-directory temp file, `sync_all`, rename over the target, then
+//!   fsync the directory. A crash at any point leaves either the old file
+//!   or the new file, never a torn mix.
 //! * [`seal_frame`] / [`open_frame`] — a versioned, FNV-1a-64-checksummed
 //!   binary envelope for whole-file artifacts (checkpoints, metadata).
 //! * [`JournalWriter`] / [`read_journal`] — an append-only record log
@@ -306,6 +306,20 @@ pub fn open_frame(bytes: &[u8], magic: [u8; 4], version: u32) -> Result<&[u8], C
 ///
 /// Propagates I/O errors from any step.
 pub fn atomic_write_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    atomic_write_with(path, |f| f.write_all(bytes))
+}
+
+/// [`atomic_write_file`] for content too large to hold as one buffer:
+/// `write` streams it into the temp file, and the same sync, rename and
+/// directory fsync then commit it.
+///
+/// # Errors
+///
+/// Propagates I/O errors from `write` or any commit step.
+pub fn atomic_write_with(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> io::Result<()>,
+) -> io::Result<()> {
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
     let mut tmp: PathBuf = path.to_path_buf();
     let mut name = path
@@ -316,7 +330,7 @@ pub fn atomic_write_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
     tmp.set_file_name(name);
     {
         let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
+        write(&mut f)?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
@@ -384,17 +398,19 @@ impl JournalWriter {
     }
 
     /// Appends one record and syncs it to stable storage before returning.
+    /// Returns the bytes the record added to the file.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; on error the record must be considered torn.
-    pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
+    pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
         let mut rec = Vec::with_capacity(RECORD_HEADER + payload.len() + FRAME_TRAILER);
         rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         rec.extend_from_slice(payload);
         rec.extend_from_slice(&fnv1a64(payload).to_le_bytes());
         self.file.write_all(&rec)?;
-        self.file.sync_data()
+        self.file.sync_data()?;
+        Ok(rec.len() as u64)
     }
 }
 

@@ -54,8 +54,8 @@ pub mod trace_recorder;
 pub use device::PageDevice;
 pub use dram::SimDram;
 pub use durable::{
-    atomic_write_file, fnv1a64, open_frame, read_journal, seal_frame, splitmix64, ByteReader,
-    ByteWriter, CodecError, JournalWriter,
+    atomic_write_file, atomic_write_with, fnv1a64, open_frame, read_journal, seal_frame,
+    splitmix64, ByteReader, ByteWriter, CodecError, JournalWriter,
 };
 pub use fault::{FaultConfig, FaultInjector, FaultStats};
 pub use file_ssd::FileSsd;

@@ -82,6 +82,10 @@ pub struct SimSsd {
     /// Pages that have been written at least once (the injector needs to
     /// know whether a pre-write image is a real previous version).
     written_once: Vec<bool>,
+    /// One bit per page changed since the last [`clear_dirty`](Self::clear_dirty):
+    /// what a durable checkpoint must capture to bring its copy of the
+    /// device up to date.
+    dirty: Vec<u64>,
 }
 
 impl SimSsd {
@@ -96,6 +100,7 @@ impl SimSsd {
             recorder: AccessTraceRecorder::disabled(),
             injector: None,
             written_once: vec![false; num_pages as usize],
+            dirty: vec![0; (num_pages as usize).div_ceil(64)],
         }
     }
 
@@ -242,6 +247,7 @@ impl SimSsd {
         }
         self.written_once[page as usize] = true;
         self.pages[start..start + pb].copy_from_slice(data);
+        self.mark_dirty(page);
         self.recorder.record_write(page);
         self.stats
             .record_write(pb as u64, self.profile.write_latency_ns);
@@ -320,6 +326,7 @@ impl SimSsd {
             }
             self.written_once[*page as usize] = true;
             self.pages[start..start + pb].copy_from_slice(data);
+            self.mark_dirty(*page);
             self.recorder.record_write(*page);
             self.stats.pages_written += 1;
             self.stats.bytes_written += pb as u64;
@@ -353,6 +360,7 @@ impl SimSsd {
         let pb = self.profile.page_bytes;
         let idx = page as usize * pb + (bit as usize / 8) % pb;
         self.pages[idx] ^= 1 << (bit % 8);
+        self.mark_dirty(page);
         Ok(())
     }
 
@@ -368,11 +376,14 @@ impl SimSsd {
         let pb = self.profile.page_bytes;
         let start = page as usize * pb;
         self.pages[start..start + pb].copy_from_slice(snapshot);
+        self.mark_dirty(page);
         Ok(())
     }
 
-    /// Reads a page without touching statistics (the adversary's own
-    /// snapshot for a later [`inject_rollback`](Self::inject_rollback)).
+    /// Reads a page without touching statistics, the access recorder or
+    /// telemetry (the adversary's own snapshot for a later
+    /// [`inject_rollback`](Self::inject_rollback), and the durable
+    /// writer's copy of a changed page).
     ///
     /// # Errors
     ///
@@ -384,15 +395,57 @@ impl SimSsd {
         Ok(self.pages[start..start + pb].to_vec())
     }
 
-    /// Serializes the device's durable state — data pages, written-page map,
-    /// and cumulative statistics — into `w`. The armed fault injector and
-    /// telemetry attachments are deliberately *not* persisted: recovery
-    /// re-arms the injector from the journaled seed and re-attaches
-    /// telemetry to the live registry.
+    /// Overwrites a page as crash recovery restores it: no statistics,
+    /// access record, telemetry, written-page mark or dirty bit, because
+    /// the device is only being put back to a state it already had.
+    ///
+    /// # Errors
+    ///
+    /// [`SsdError::OutOfRange`] / [`SsdError::BadLength`].
+    pub fn restore_page(&mut self, page: u64, data: &[u8]) -> Result<(), SsdError> {
+        self.check(page, Some(data.len()))?;
+        let pb = self.profile.page_bytes;
+        let start = page as usize * pb;
+        self.pages[start..start + pb].copy_from_slice(data);
+        Ok(())
+    }
+
+    fn mark_dirty(&mut self, page: u64) {
+        self.dirty[page as usize / 64] |= 1 << (page % 64);
+    }
+
+    /// Pages changed since the last [`clear_dirty`](Self::clear_dirty), in
+    /// ascending order. Every page mutation — [`write_page`](Self::write_page),
+    /// [`write_pages`](Self::write_pages) and both fault injections — sets
+    /// its page's bit; [`restore_page`](Self::restore_page) does not.
+    pub fn dirty_pages(&self) -> Vec<u64> {
+        let mut pages = Vec::new();
+        for (w, &word) in self.dirty.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                pages.push(w as u64 * 64 + u64::from(bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
+        }
+        pages
+    }
+
+    /// Forgets every dirty bit (the durable writer has captured them).
+    pub fn clear_dirty(&mut self) {
+        self.dirty.fill(0);
+    }
+
+    /// Serializes the device's metadata — geometry, written-page map and
+    /// cumulative statistics — into `w`. The pages themselves travel
+    /// separately, through [`snapshot_page`](Self::snapshot_page) and
+    /// [`restore_page`](Self::restore_page), so a checkpoint can carry only
+    /// the pages that changed. The armed fault injector and telemetry
+    /// attachments are deliberately *not* persisted: recovery re-arms the
+    /// injector from the journaled seed and re-attaches telemetry to the
+    /// live registry.
     pub fn encode_state(&self, w: &mut ByteWriter) {
         w.put_u64(self.num_pages);
         w.put_u64(self.profile.page_bytes as u64);
-        w.put_bytes(&self.pages);
         let mut map = vec![0u8; (self.num_pages as usize).div_ceil(8)];
         for (i, &written) in self.written_once.iter().enumerate() {
             if written {
@@ -415,11 +468,11 @@ impl SimSsd {
         }
     }
 
-    /// Restores state previously captured by
+    /// Restores metadata previously captured by
     /// [`encode_state`](Self::encode_state) onto a freshly constructed
-    /// device of the same geometry. Restoration bypasses the statistics
-    /// paths (no reads/writes are counted) and verifies the captured
-    /// geometry against this device's.
+    /// device of the same geometry, leaving the pages as they are.
+    /// Restoration bypasses the statistics paths (no reads/writes are
+    /// counted) and verifies the captured geometry against this device's.
     ///
     /// # Errors
     ///
@@ -433,15 +486,10 @@ impl SimSsd {
         if page_bytes != self.profile.page_bytes as u64 {
             return Err(CodecError::Invalid("ssd page-size mismatch"));
         }
-        let pages = r.get_bytes()?;
-        if pages.len() != self.pages.len() {
-            return Err(CodecError::Invalid("ssd image length mismatch"));
-        }
         let map = r.get_bytes()?;
         if map.len() != (self.num_pages as usize).div_ceil(8) {
             return Err(CodecError::Invalid("ssd written-page map length mismatch"));
         }
-        self.pages = pages;
         for i in 0..self.num_pages as usize {
             self.written_once[i] = map[i / 8] & (1 << (i % 8)) != 0;
         }
@@ -650,11 +698,20 @@ mod tests {
         let mut w = ByteWriter::new();
         s.encode_state(&mut w);
         let bytes = w.into_bytes();
+        // The codec carries the metadata; pages travel one by one.
+        assert!(
+            bytes.len() < 4096,
+            "{} B: pages leaked into the codec",
+            bytes.len()
+        );
 
         let mut restored = ssd(4);
         let mut r = ByteReader::new(&bytes);
         restored.decode_state(&mut r).unwrap();
         r.expect_end().unwrap();
+        restored
+            .restore_page(1, &s.snapshot_page(1).unwrap())
+            .unwrap();
         assert_eq!(restored.read_page(1).unwrap()[0], 0xC4);
         // Stats resumed, then incremented by the read above.
         assert_eq!(restored.stats().pages_written, 1);
@@ -682,6 +739,50 @@ mod tests {
             wrong.decode_state(&mut r),
             Err(CodecError::Invalid("ssd page-count mismatch"))
         );
+    }
+
+    #[test]
+    fn every_page_mutation_sets_its_dirty_bit() {
+        let mut s = ssd(130);
+        assert!(s.dirty_pages().is_empty());
+        s.write_page(3, &vec![1; 4096]).unwrap();
+        s.write_pages(&[(64, vec![2; 4096]), (129, vec![3; 4096])])
+            .unwrap();
+        s.inject_bitflip(70, 5).unwrap();
+        s.inject_rollback(0, &vec![9; 4096]).unwrap();
+        // Reads, snapshots and restores change nothing the writer must copy.
+        s.read_page(3).unwrap();
+        s.read_pages(&[64, 65]).unwrap();
+        let _ = s.snapshot_page(1).unwrap();
+        s.restore_page(2, &vec![4; 4096]).unwrap();
+        assert_eq!(s.dirty_pages(), vec![0, 3, 64, 70, 129]);
+        s.clear_dirty();
+        assert!(s.dirty_pages().is_empty());
+        assert_eq!(s.read_page(2).unwrap()[0], 4);
+    }
+
+    #[test]
+    fn restore_page_leaves_no_trace() {
+        use crate::trace_recorder::AccessTraceRecorder;
+        use fedora_telemetry::Registry;
+        let r = Registry::new();
+        let mut s = ssd(4);
+        s.set_telemetry(crate::telemetry::DeviceTelemetry::attach(&r, "storage"));
+        let rec = AccessTraceRecorder::new();
+        s.set_access_recorder(rec.clone());
+        s.restore_page(1, &vec![7; 4096]).unwrap();
+        assert_eq!(*s.stats(), DeviceStats::new());
+        assert!(rec.is_empty());
+        let snap = r.snapshot();
+        assert_eq!(snap.counter("storage.pages_written"), Some(0));
+        assert_eq!(
+            snap.histogram("storage.write.latency").map(|h| h.count),
+            Some(0)
+        );
+        assert!(s.restore_page(4, &vec![0; 4096]).is_err());
+        assert!(s.restore_page(0, &[0; 16]).is_err());
+        assert_eq!(s.snapshot_page(1).unwrap(), vec![7; 4096]);
+        assert!(s.dirty_pages().is_empty());
     }
 
     #[test]

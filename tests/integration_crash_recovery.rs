@@ -9,12 +9,15 @@ use std::path::{Path, PathBuf};
 
 use fedora::audit::{audit_twin_inputs_with, twin_inputs, AuditVerdict};
 use fedora::config::{FedoraConfig, ParallelismConfig, PrivacyConfig, TableSpec};
-use fedora::durable::{read_records, CrashPoint, FaultPlan, JournalRecord};
+use fedora::durable::{
+    list_checkpoints, load_checkpoint, read_records, CrashPoint, FaultPlan, JournalRecord,
+};
 use fedora::server::{FedoraError, FedoraServer, RoundReport};
 use fedora_crypto::aead::Key;
 use fedora_crypto::IntegrityError;
 use fedora_fl::modes::FedAvg;
 use fedora_oram::OramError;
+use fedora_storage::ByteWriter;
 use fedora_telemetry::Registry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -425,5 +428,188 @@ fn snapshot_delta_across_recover_saturates_counter_resets() {
     // rather than panicking.
     let win_lat = window.histogram("round.latency").expect("window histogram");
     assert!(win_lat.count <= post_lat.count);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The server's SSD as recovery must rebuild it: every page, plus the
+/// metadata codec (written-page map and `DeviceStats`).
+fn device_image(server: &FedoraServer) -> (Vec<Vec<u8>>, Vec<u8>) {
+    let ssd = server.main_oram().store().ssd();
+    let pages = (0..ssd.num_pages())
+        .map(|p| ssd.snapshot_page(p).expect("page"))
+        .collect();
+    let mut meta = ByteWriter::new();
+    ssd.encode_state(&mut meta);
+    (pages, meta.into_bytes())
+}
+
+fn checkpoint_path(dir: &Path, generation: u64) -> PathBuf {
+    dir.join(format!("ckpt-{generation:020}.bin"))
+}
+
+/// At every crash point, and with no crash, the recovered device equals
+/// the device at the last commit byte for byte, including pages that a
+/// between-rounds bucket repair wrote and a manual checkpoint carried.
+#[test]
+fn recovered_device_equals_the_last_commit_byte_for_byte() {
+    for point in [None].into_iter().chain(CrashPoint::all().map(Some)) {
+        let tag = point.map_or("none", CrashPoint::name);
+        let dir = state_dir(&format!("device-{tag}"));
+        let config = crash_config(PrivacyConfig::perfect(), 1);
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut server = build(&config, &mut rng);
+        server.enable_durability(&dir).expect("enable durability");
+        warm_up(&mut server, &mut rng);
+        let leaf = server.main_oram().store().ssd().num_pages()
+            / server.main_oram().store().pages_per_bucket()
+            - 1;
+        server.repair_bucket(leaf).expect("repair");
+        let stats = server.checkpoint().expect("checkpoint");
+        assert!(
+            stats.redo_pages > 0,
+            "{tag}: the repair's pages ride in the redo"
+        );
+        run_round(&mut server, 3, &mut rng).expect("round after the repair");
+        let mut committed = device_image(&server);
+        if let Some(point) = point {
+            server.arm_crash_point(point);
+            let crash = run_round(&mut server, 4, &mut rng);
+            assert!(
+                matches!(crash, Err(FedoraError::CrashInjected { .. })),
+                "{tag}: {crash:?}"
+            );
+            if point == CrashPoint::PostDataSyncPreCommit {
+                // The round's checkpoint is durable: recovery lands on it.
+                committed = device_image(&server);
+            }
+        }
+        drop(server);
+
+        let mut recovered = build(&config, &mut StdRng::seed_from_u64(13));
+        recovered.recover(&dir).expect("recover");
+        assert!(
+            device_image(&recovered) == committed,
+            "{tag}: recovered device differs from the last commit"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A crash while the image is being brought up to date tears the apply:
+/// half of a generation's pages reach `device.img`, half do not. Recovery
+/// must finish that apply before the next commit prunes the generation.
+#[test]
+fn torn_image_apply_is_finished_by_recovery() {
+    let dir = state_dir("torn-apply");
+    let config = crash_config(PrivacyConfig::perfect(), 1);
+    let mut rng = StdRng::seed_from_u64(29);
+    let mut server = build(&config, &mut rng);
+    server.enable_durability(&dir).expect("enable durability");
+    run_round(&mut server, 1, &mut rng).expect("round 1");
+    // Generation g = 1 holds round 1; its pages reach the image when
+    // generation g + 1 commits.
+    let g = 1;
+    let redo = load_checkpoint(&dir, &journal_key(), g)
+        .expect("generation g")
+        .redo;
+    let before_apply = std::fs::read(dir.join("device.img")).expect("image");
+    run_round(&mut server, 2, &mut rng).expect("round 2");
+    let next = load_checkpoint(&dir, &journal_key(), g + 1)
+        .expect("generation g + 1")
+        .redo;
+    let committed = device_image(&server);
+    drop(server);
+
+    // Undo half of generation g's pages, preferring those generation
+    // g + 1 does not rewrite (replaying g + 1 would mask the others).
+    let mut torn: Vec<u64> = redo
+        .pages
+        .iter()
+        .copied()
+        .filter(|p| !next.pages.contains(p))
+        .collect();
+    assert!(!torn.is_empty(), "generation g must own pages of its own");
+    torn.truncate(redo.pages.len().div_ceil(2));
+    let mut image = std::fs::read(dir.join("device.img")).expect("image");
+    let pb = redo.page_bytes;
+    for &p in &torn {
+        let at = p as usize * pb;
+        assert_ne!(
+            image[at..at + pb],
+            before_apply[at..at + pb],
+            "page {p} was applied"
+        );
+        image[at..at + pb].copy_from_slice(&before_apply[at..at + pb]);
+    }
+    std::fs::write(dir.join("device.img"), &image).expect("tear the apply");
+
+    let mut rng2 = StdRng::seed_from_u64(31);
+    let mut recovered = build(&config, &mut rng2);
+    assert_eq!(recovered.recover(&dir).expect("recover"), 2);
+    assert!(
+        device_image(&recovered) == committed,
+        "device after the torn apply"
+    );
+
+    // One more round prunes generation g; the image must not need it.
+    run_round(&mut recovered, 3, &mut rng2).expect("round 3");
+    assert!(!list_checkpoints(&dir).expect("list").contains(&g));
+    let committed = device_image(&recovered);
+    drop(recovered);
+    let mut again = build(&config, &mut StdRng::seed_from_u64(37));
+    assert_eq!(again.recover(&dir).expect("recover again"), 3);
+    assert!(device_image(&again) == committed, "device after the prune");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint damaged after its lost commit marker: recovery falls back
+/// to the previous generation, and the image (one generation behind)
+/// still rebuilds that generation's device exactly.
+#[test]
+fn damaged_newest_checkpoint_falls_back_with_its_device() {
+    let dir = state_dir("fallback");
+    let config = crash_config(PrivacyConfig::perfect(), 1);
+    let mut rng = StdRng::seed_from_u64(43);
+    let mut server = build(&config, &mut rng);
+    server.enable_durability(&dir).expect("enable durability");
+    warm_up(&mut server, &mut rng);
+    let committed = device_image(&server);
+    server.arm_crash_point(CrashPoint::PostDataSyncPreCommit);
+    assert!(matches!(
+        run_round(&mut server, 100, &mut rng),
+        Err(FedoraError::CrashInjected { .. })
+    ));
+    drop(server);
+
+    let newest = *list_checkpoints(&dir)
+        .expect("list")
+        .last()
+        .expect("newest");
+    let path = checkpoint_path(&dir, newest);
+    let mut bytes = std::fs::read(&path).expect("newest checkpoint");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&path, &bytes).expect("damage it");
+
+    let mut rng2 = StdRng::seed_from_u64(47);
+    let mut recovered = build(&config, &mut rng2);
+    assert_eq!(recovered.recover(&dir).expect("recover"), WARMUP_ROUNDS);
+    assert!(device_image(&recovered) == committed, "fallback device");
+
+    // The next commit builds on the generation recovery landed on and
+    // prunes the damaged one.
+    run_round(&mut recovered, 101, &mut rng2).expect("post-recovery round");
+    assert!(!list_checkpoints(&dir).expect("list").contains(&newest));
+    let committed = device_image(&recovered);
+    drop(recovered);
+    let mut again = build(&config, &mut StdRng::seed_from_u64(53));
+    assert_eq!(
+        again.recover(&dir).expect("recover again"),
+        WARMUP_ROUNDS + 1
+    );
+    assert!(
+        device_image(&again) == committed,
+        "device after the fallback"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
