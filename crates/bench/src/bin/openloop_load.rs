@@ -35,40 +35,19 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fedora::{FedoraConfig, FedoraServer, TableSpec};
+use fedora_bench::outopts::take_flag;
 use fedora_bench::{netload, NetLoadSpec, OutputOpts};
 use fedora_net::{NetClient, NetConfig, NetServer, ScrapeFormat};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
-        eprintln!("error: {flag} needs a value");
+/// The value of `name` parsed as `T`, or `None` when absent; a missing
+/// or malformed value exits 2.
+fn flag<T: std::str::FromStr>(args: &mut Vec<String>, name: &str) -> Option<T> {
+    take_flag(args, name).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
         std::process::exit(2);
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Some(value)
-}
-
-fn flag_present(args: &mut Vec<String>, flag: &str) -> bool {
-    match args.iter().position(|a| a == flag) {
-        Some(pos) => {
-            args.remove(pos);
-            true
-        }
-        None => false,
-    }
-}
-
-fn parsed<T: std::str::FromStr>(value: Option<String>, flag: &str, default: T) -> T {
-    match value {
-        None => default,
-        Some(text) => text.parse().unwrap_or_else(|_| {
-            eprintln!("error: {flag} got unparsable value '{text}'");
-            std::process::exit(2);
-        }),
-    }
+    })
 }
 
 /// What the concurrent ops poller saw over a run: successful scrapes,
@@ -130,29 +109,24 @@ fn await_server(addr: &str, patience: Duration) -> Result<(), String> {
 
 fn main() {
     let (opts, mut args) = OutputOpts::from_env();
-    let addr_flag = flag_value(&mut args, "--addr");
-    let shutdown_after = flag_present(&mut args, "--shutdown-after");
+    let addr_flag: Option<String> = flag(&mut args, "--addr");
+    let shutdown_after = args.iter().any(|a| a == "--shutdown-after");
+    args.retain(|a| a != "--shutdown-after");
+    let poisson = args.iter().any(|a| a == "--poisson");
+    args.retain(|a| a != "--poisson");
     let spec = NetLoadSpec {
-        rate_hz: parsed(flag_value(&mut args, "--rate"), "--rate", 200.0),
-        requests: parsed(flag_value(&mut args, "--requests"), "--requests", 200),
-        connections: parsed(flag_value(&mut args, "--connections"), "--connections", 4),
-        entries_per_request: parsed(
-            flag_value(&mut args, "--entries-per-request"),
-            "--entries-per-request",
-            4,
-        ),
-        table_entries: parsed(flag_value(&mut args, "--entries"), "--entries", 1024),
+        rate_hz: flag(&mut args, "--rate").unwrap_or(200.0),
+        requests: flag(&mut args, "--requests").unwrap_or(200),
+        connections: flag(&mut args, "--connections").unwrap_or(4),
+        entries_per_request: flag(&mut args, "--entries-per-request").unwrap_or(4),
+        table_entries: flag(&mut args, "--entries").unwrap_or(1024),
         dim: 8, // TableSpec::tiny entry_bytes / 4, the serve-side layout
-        poisson: flag_present(&mut args, "--poisson"),
-        seed: parsed(flag_value(&mut args, "--seed"), "--seed", 7),
-        timeout: Duration::from_secs(parsed(
-            flag_value(&mut args, "--timeout-secs"),
-            "--timeout-secs",
-            30u64,
-        )),
+        poisson,
+        seed: flag(&mut args, "--seed").unwrap_or(7),
+        timeout: Duration::from_secs(flag(&mut args, "--timeout-secs").unwrap_or(30)),
     };
-    let queue_depth = parsed(flag_value(&mut args, "--queue-depth"), "--queue-depth", 128);
-    let scrape_format = flag_value(&mut args, "--scrape").map(|f| match f.as_str() {
+    let queue_depth = flag(&mut args, "--queue-depth").unwrap_or(128);
+    let scrape_format = flag::<String>(&mut args, "--scrape").map(|f| match f.as_str() {
         "prom" | "prometheus" => ScrapeFormat::Prom,
         "json" => ScrapeFormat::Json,
         other => {
@@ -160,7 +134,7 @@ fn main() {
             std::process::exit(2);
         }
     });
-    let scrape_out = flag_value(&mut args, "--scrape-out");
+    let scrape_out: Option<String> = flag(&mut args, "--scrape-out");
     if scrape_out.is_some() && scrape_format.is_none() {
         eprintln!("error: --scrape-out needs --scrape prom|json");
         std::process::exit(2);

@@ -1004,7 +1004,7 @@ mod tests {
         let mut d = DurableState::create(&dir, key(), &mut dev, &Registry::disabled()).unwrap();
         assert!(dev.dirty_pages().is_empty(), "the image holds every page");
         for i in 0..4u8 {
-            dev.write_page(u64::from(i), &vec![i; 4096]).unwrap();
+            dev.write_pages(&[(u64::from(i), vec![i; 4096])]).unwrap();
             let stats = d.write_checkpoint(&[i; 32], &mut dev).unwrap();
             assert_eq!(stats.generation, u64::from(i));
             assert_eq!((stats.redo_pages, stats.redo_bytes), (1, 4096));
@@ -1033,13 +1033,13 @@ mod tests {
     fn resume_replays_the_chain_and_writes_older_generations_back() {
         let dir = temp_dir("resume");
         let mut dev = device();
-        dev.write_page(7, &vec![0xAA; 4096]).unwrap();
+        dev.write_pages(&[(7, vec![0xAA; 4096])]).unwrap();
         let mut d = DurableState::create(&dir, key(), &mut dev, &Registry::disabled()).unwrap();
         d.write_checkpoint(b"g0", &mut dev).unwrap();
         d.apply_and_prune(&dev).unwrap();
         for (gen, page) in [(1u8, 1u64), (2, 2)] {
-            dev.write_page(page, &vec![gen; 4096]).unwrap();
-            dev.write_page(5, &vec![gen; 4096]).unwrap();
+            dev.write_pages(&[(page, vec![gen; 4096])]).unwrap();
+            dev.write_pages(&[(5, vec![gen; 4096])]).unwrap();
             d.write_checkpoint(&[gen], &mut dev).unwrap();
         }
         // Crash before generation 2's apply: the image still lacks

@@ -14,7 +14,7 @@ use fedora_fl::client::LocalTrainer;
 use fedora_fl::datasets::Dataset;
 use fedora_fl::model::DlrmModel;
 use fedora_fl::modes::{AggregationMode, FedAvg};
-use fedora_fl::sim::evaluate_auc;
+use fedora_fl::sim::{evaluate_auc, PublicFedAvg};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -232,52 +232,22 @@ pub fn train_with_fedora_mode<M: AggregationMode, R: Rng>(
         });
         drop(train_span);
 
-        // ⑥ Upload/aggregate in client-index order.
-        let mut dense_acc: Option<fedora_fl::model::DenseParams> = None;
-        let mut attention_acc: Option<fedora_fl::linalg::Matrix> = None;
-        let mut dense_weight = 0.0f64;
-        let mut item_acc: HashMap<u64, (Vec<f32>, f64)> = HashMap::new();
-
+        // ⑥ Upload/aggregate in client-index order. The public parts train
+        // by conventional FedAvg outside the ORAM; the private rows flow
+        // through the buffer ORAM.
+        let mut public = PublicFedAvg::default();
         for ((user, _, _), trained) in per_user_requests.iter().zip(updates) {
             let Some(update) = trained else {
                 continue;
             };
             let n = update.n_samples;
-
-            // Private rows flow through the buffer ORAM.
+            let history_deltas = public.add(update);
             let upload_span =
                 registry.trace_span_with("client.upload", &[("user", (*user).into())]);
-            for (id, g) in &update.history_deltas {
+            for (id, g) in &history_deltas {
                 server.aggregate(mode, *id, g, n, rng)?;
             }
             drop(upload_span);
-            // Public parts: conventional FedAvg outside the ORAM.
-            let mut dd = update.dense_delta;
-            let scale = n as f32;
-            dd.w1.data_mut().iter_mut().for_each(|x| *x *= scale);
-            dd.b1.iter_mut().for_each(|x| *x *= scale);
-            dd.w2.iter_mut().for_each(|x| *x *= scale);
-            dd.b2 *= scale;
-            match &mut dense_acc {
-                None => dense_acc = Some(dd),
-                Some(acc) => acc.add_scaled(1.0, &dd),
-            }
-            if let Some(mut ad) = update.attention_delta {
-                ad.data_mut().iter_mut().for_each(|x| *x *= scale);
-                match &mut attention_acc {
-                    None => attention_acc = Some(ad),
-                    Some(acc) => acc.add_scaled(1.0, &ad),
-                }
-            }
-            dense_weight += n as f64;
-            for (id, mut g) in update.item_deltas {
-                let w = FedAvg.pre(&mut g, n);
-                let entry = item_acc
-                    .entry(id)
-                    .or_insert_with(|| (vec![0.0; g.len()], 0.0));
-                fedora_fl::linalg::axpy(1.0, &g, &mut entry.0);
-                entry.1 += w;
-            }
         }
 
         // ⑦ Write phase (history table) + public server update.
@@ -287,25 +257,7 @@ pub fn train_with_fedora_mode<M: AggregationMode, R: Rng>(
         outcome.total_union += report.k_union as u64;
         dummies += report.dummies as u64;
         lost += report.lost as u64;
-
-        if let Some(mut acc) = dense_acc {
-            let inv = (1.0 / dense_weight.max(1.0)) as f32;
-            acc.w1.data_mut().iter_mut().for_each(|x| *x *= inv);
-            acc.b1.iter_mut().for_each(|x| *x *= inv);
-            acc.w2.iter_mut().for_each(|x| *x *= inv);
-            acc.b2 *= inv;
-            model.dense_mut().add_scaled(config.server_lr, &acc);
-        }
-        if let Some(mut acc) = attention_acc {
-            let inv = (1.0 / dense_weight.max(1.0)) as f32;
-            acc.data_mut().iter_mut().for_each(|x| *x *= inv);
-            model.update_attention(config.server_lr, &acc);
-        }
-        for (id, (mut g, w)) in item_acc {
-            let mut m2 = FedAvg;
-            m2.post(id, &mut g, w, rng);
-            model.update_item_row(id, config.server_lr, &g);
-        }
+        public.apply(model, config.server_lr, rng);
     }
 
     // Sync the trained history table back into the model for evaluation.

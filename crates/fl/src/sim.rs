@@ -7,13 +7,16 @@
 //! FEDORA pipeline (in the `fedora` crate) is validated against: with
 //! ε = ∞ the two must produce near-identical training trajectories.
 
+use std::collections::HashMap;
+
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::client::LocalTrainer;
+use crate::client::{ClientUpdate, LocalTrainer};
 use crate::datasets::Dataset;
+use crate::linalg::Matrix;
 use crate::metrics::roc_auc;
-use crate::model::DlrmModel;
+use crate::model::{DenseParams, DlrmModel};
 use crate::modes::{AggregationMode, FedAvg};
 
 /// Configuration of the reference FL loop.
@@ -76,76 +79,21 @@ pub fn run_reference_fl<R: Rng>(
             config.trainer.train(global, &ud.train, &ud.history, None)
         });
 
-        // Collect client updates.
-        let mut dense_acc: Option<crate::model::DenseParams> = None;
-        let mut attention_acc: Option<crate::linalg::Matrix> = None;
-        let mut dense_weight = 0.0f64;
-        // (id -> (sum, weight)) accumulators for both tables.
-        let mut item_acc: std::collections::HashMap<u64, (Vec<f32>, f64)> = Default::default();
-        let mut hist_acc: std::collections::HashMap<u64, (Vec<f32>, f64)> = Default::default();
-
+        let mut public = PublicFedAvg::default();
+        // (id -> (sum, weight)) accumulator for the history table.
+        let mut hist_acc: HashMap<u64, (Vec<f32>, f64)> = HashMap::new();
         for update in updates {
             let Some(update) = update else {
                 continue;
             };
             let n = update.n_samples;
-            // Dense params: weighted FedAvg.
-            let mut dd = update.dense_delta;
-            // Scale by n (Pre), accumulate.
-            let scale = n as f32;
-            dd.w1.data_mut().iter_mut().for_each(|x| *x *= scale);
-            dd.b1.iter_mut().for_each(|x| *x *= scale);
-            dd.w2.iter_mut().for_each(|x| *x *= scale);
-            dd.b2 *= scale;
-            match &mut dense_acc {
-                None => dense_acc = Some(dd),
-                Some(acc) => acc.add_scaled(1.0, &dd),
-            }
-            if let Some(mut ad) = update.attention_delta {
-                ad.data_mut().iter_mut().for_each(|x| *x *= scale);
-                match &mut attention_acc {
-                    None => attention_acc = Some(ad),
-                    Some(acc) => acc.add_scaled(1.0, &ad),
-                }
-            }
-            dense_weight += n as f64;
-
-            for (id, mut g) in update.item_deltas {
-                let w = mode.pre(&mut g, n);
-                let entry = item_acc
-                    .entry(id)
-                    .or_insert_with(|| (vec![0.0; g.len()], 0.0));
-                crate::linalg::axpy(1.0, &g, &mut entry.0);
-                entry.1 += w;
-            }
-            for (id, mut g) in update.history_deltas {
-                let w = mode.pre(&mut g, n);
-                let entry = hist_acc
-                    .entry(id)
-                    .or_insert_with(|| (vec![0.0; g.len()], 0.0));
-                crate::linalg::axpy(1.0, &g, &mut entry.0);
-                entry.1 += w;
+            for (id, g) in public.add(update) {
+                accumulate(&mut hist_acc, id, g, n);
             }
         }
 
         // Server update.
-        if let Some(mut acc) = dense_acc {
-            let inv = (1.0 / dense_weight.max(1.0)) as f32;
-            acc.w1.data_mut().iter_mut().for_each(|x| *x *= inv);
-            acc.b1.iter_mut().for_each(|x| *x *= inv);
-            acc.w2.iter_mut().for_each(|x| *x *= inv);
-            acc.b2 *= inv;
-            model.dense_mut().add_scaled(config.server_lr, &acc);
-        }
-        if let Some(mut acc) = attention_acc {
-            let inv = (1.0 / dense_weight.max(1.0)) as f32;
-            acc.data_mut().iter_mut().for_each(|x| *x *= inv);
-            model.update_attention(config.server_lr, &acc);
-        }
-        for (id, (mut g, w)) in item_acc {
-            mode.post(id, &mut g, w, rng);
-            model.update_item_row(id, config.server_lr, &g);
-        }
+        public.apply(model, config.server_lr, rng);
         for (id, (mut g, w)) in hist_acc {
             mode.post(id, &mut g, w, rng);
             model.update_history_row(id, config.server_lr, &g);
@@ -155,6 +103,78 @@ pub fn run_reference_fl<R: Rng>(
         aucs.push(evaluate_auc(model, dataset));
     }
     aucs
+}
+
+/// FedAvg over a model's public parameters: the dense MLP, the attention
+/// projection and the item table, which train conventionally outside any
+/// ORAM. [`add`](Self::add) scales each client's deltas by its sample
+/// count and sums them; [`apply`](Self::apply) divides the sums by the
+/// summed weight and applies them at the server learning rate.
+#[derive(Debug, Default)]
+pub struct PublicFedAvg {
+    dense: Option<DenseParams>,
+    attention: Option<Matrix>,
+    weight: f64,
+    items: HashMap<u64, (Vec<f32>, f64)>,
+}
+
+impl PublicFedAvg {
+    /// Adds one client's public deltas and returns its private
+    /// history-table deltas, which the caller aggregates its own way.
+    pub fn add(&mut self, update: ClientUpdate) -> Vec<(u64, Vec<f32>)> {
+        let n = update.n_samples;
+        let scale = n as f32;
+        let mut dd = update.dense_delta;
+        dd.w1.data_mut().iter_mut().for_each(|x| *x *= scale);
+        dd.b1.iter_mut().for_each(|x| *x *= scale);
+        dd.w2.iter_mut().for_each(|x| *x *= scale);
+        dd.b2 *= scale;
+        match &mut self.dense {
+            None => self.dense = Some(dd),
+            Some(acc) => acc.add_scaled(1.0, &dd),
+        }
+        if let Some(mut ad) = update.attention_delta {
+            ad.data_mut().iter_mut().for_each(|x| *x *= scale);
+            match &mut self.attention {
+                None => self.attention = Some(ad),
+                Some(acc) => acc.add_scaled(1.0, &ad),
+            }
+        }
+        self.weight += n as f64;
+        for (id, g) in update.item_deltas {
+            accumulate(&mut self.items, id, g, n);
+        }
+        update.history_deltas
+    }
+
+    /// Applies the averaged deltas to `model` at learning rate `server_lr`.
+    pub fn apply<R: Rng>(self, model: &mut DlrmModel, server_lr: f32, rng: &mut R) {
+        let inv = (1.0 / self.weight.max(1.0)) as f32;
+        if let Some(mut acc) = self.dense {
+            acc.w1.data_mut().iter_mut().for_each(|x| *x *= inv);
+            acc.b1.iter_mut().for_each(|x| *x *= inv);
+            acc.w2.iter_mut().for_each(|x| *x *= inv);
+            acc.b2 *= inv;
+            model.dense_mut().add_scaled(server_lr, &acc);
+        }
+        if let Some(mut acc) = self.attention {
+            acc.data_mut().iter_mut().for_each(|x| *x *= inv);
+            model.update_attention(server_lr, &acc);
+        }
+        for (id, (mut g, w)) in self.items {
+            FedAvg.post(id, &mut g, w, rng);
+            model.update_item_row(id, server_lr, &g);
+        }
+    }
+}
+
+/// Adds one client's FedAvg `Pre` of `g` (the gradient scaled by its
+/// sample count `n`) to entry `id`'s running sum and weight.
+fn accumulate(acc: &mut HashMap<u64, (Vec<f32>, f64)>, id: u64, mut g: Vec<f32>, n: u32) {
+    let w = FedAvg.pre(&mut g, n);
+    let entry = acc.entry(id).or_insert_with(|| (vec![0.0; g.len()], 0.0));
+    crate::linalg::axpy(1.0, &g, &mut entry.0);
+    entry.1 += w;
 }
 
 /// Evaluates the model's ROC-AUC on the dataset's test split.

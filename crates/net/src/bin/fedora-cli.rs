@@ -39,7 +39,8 @@ COMMANDS:
     latency    per-round latency overhead (analytic)
                --table small|medium|large  --updates N  --epsilon E
     round      run one live round on the simulated pipeline
-               --entries N  --requests a,b,c,...  --epsilon E
+               --entries N  --requests a,b,c,... (at most 64 ids)
+               --epsilon E
                --threads N (worker threads for bulk path crypto;
                default 1 — thread count never changes results)
                --state-dir DIR (durable mode: restore any prior
@@ -190,17 +191,20 @@ fn attach_state_dir(server: &mut FedoraServer, dir: &str) -> Result<u64, String>
     }
 }
 
-/// Builds the live pipeline server the durable subcommands operate on.
-/// Geometry and privacy must match the run that wrote the checkpoint.
-fn live_server(
-    flags: &HashMap<String, String>,
-    k_hint: usize,
-) -> Result<(FedoraServer, StdRng), String> {
+/// Requests one round may carry. Every subcommand builds its server with
+/// this bound: it sizes the buffer ORAM, and a checkpoint only restores
+/// into a server of the capacity that wrote it.
+const MAX_REQUESTS_PER_ROUND: usize = 64;
+
+/// Builds the live pipeline server `round`, `checkpoint`, `restore` and
+/// `serve` operate on. Geometry and privacy must match the run that wrote
+/// the checkpoint.
+fn live_server(flags: &HashMap<String, String>) -> Result<(FedoraServer, StdRng), String> {
     let entries = u64_flag(flags, "entries", 4096)?;
     let epsilon = f64_flag(flags, "epsilon", 1.0)?;
     let threads = u64_flag(flags, "threads", 1)?.max(1) as usize;
     let mut rng = StdRng::seed_from_u64(u64_flag(flags, "seed", 42)?);
-    let mut config = FedoraConfig::for_testing(TableSpec::tiny(entries), k_hint.max(16));
+    let mut config = FedoraConfig::for_testing(TableSpec::tiny(entries), MAX_REQUESTS_PER_ROUND);
     config.parallelism = ParallelismConfig::with_threads(threads);
     config.privacy = if epsilon == 0.0 {
         PrivacyConfig::perfect()
@@ -331,7 +335,7 @@ fn cmd_checkpoint(flags: &HashMap<String, String>) -> Result<(), String> {
     let dir = flags
         .get("state-dir")
         .ok_or("checkpoint needs --state-dir DIR")?;
-    let (mut server, _rng) = live_server(flags, 16)?;
+    let (mut server, _rng) = live_server(flags)?;
     let rounds = attach_state_dir(&mut server, dir)?;
     let stats = server.checkpoint().map_err(|e| e.to_string())?;
     println!(
@@ -349,7 +353,7 @@ fn cmd_restore(flags: &HashMap<String, String>) -> Result<(), String> {
     let dir = flags
         .get("state-dir")
         .ok_or("restore needs --state-dir DIR")?;
-    let (mut server, _rng) = live_server(flags, 16)?;
+    let (mut server, _rng) = live_server(flags)?;
     let path = std::path::Path::new(dir.as_str());
     let rounds = server.recover(path).map_err(|e| e.to_string())?;
     let generations = fedora::durable::list_checkpoints(path).map_err(|e| e.to_string())?;
@@ -480,23 +484,17 @@ fn cmd_round(flags: &HashMap<String, String>) -> Result<(), String> {
                 .map_err(|_| format!("bad request id '{s}'"))
         })
         .collect::<Result<_, _>>()?;
+    if requests.len() > MAX_REQUESTS_PER_ROUND {
+        return Err(format!(
+            "{} request ids; a round takes at most {MAX_REQUESTS_PER_ROUND}",
+            requests.len()
+        ));
+    }
     if let Some(&bad) = requests.iter().find(|&&r| r >= entries) {
         return Err(format!("request {bad} outside table of {entries} entries"));
     }
 
-    let threads = u64_flag(flags, "threads", 1)?.max(1) as usize;
-    let mut rng = StdRng::seed_from_u64(u64_flag(flags, "seed", 42)?);
-    let mut config = FedoraConfig::for_testing(TableSpec::tiny(entries), requests.len().max(16));
-    config.parallelism = ParallelismConfig::with_threads(threads);
-    config.privacy = if epsilon == 0.0 {
-        PrivacyConfig::perfect()
-    } else if epsilon.is_infinite() {
-        PrivacyConfig::none()
-    } else {
-        PrivacyConfig::with_epsilon(epsilon)
-    };
-    let mut server =
-        FedoraServer::with_telemetry(config, |_| vec![0u8; 32], registry_for(flags), &mut rng);
+    let (mut server, mut rng) = live_server(flags)?;
     if let Some(dir) = flags.get("state-dir") {
         attach_state_dir(&mut server, dir)?;
     }
@@ -555,7 +553,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         .get("listen")
         .map(String::as_str)
         .unwrap_or("127.0.0.1:0");
-    let (mut server, _rng) = live_server(flags, 64)?;
+    let (mut server, _rng) = live_server(flags)?;
     if let Some(dir) = flags.get("state-dir") {
         attach_state_dir(&mut server, dir)?;
     }

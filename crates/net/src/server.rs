@@ -225,7 +225,6 @@ impl NetServer {
         config: NetConfig,
     ) -> std::io::Result<NetHandle> {
         let listener = TcpListener::bind(listen)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let registry = server.registry().clone();
         let metrics = NetMetrics::attach(&registry);
@@ -324,7 +323,11 @@ impl NetHandle {
             }
         }
         if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+            // Wake the blocked accept; should even a loopback connect
+            // fail, leave the acceptor blocked rather than hang here.
+            if TcpStream::connect(self.addr).is_ok() {
+                let _ = acceptor.join();
+            }
         }
         let handles = match self.readers.lock() {
             Ok(mut guard) => std::mem::take(&mut *guard),
@@ -354,9 +357,15 @@ fn run_acceptor(
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     config: NetConfig,
 ) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
+    // Each accept blocks until a connection arrives. `NetHandle::join`
+    // wakes it with one of its own after setting the flag; nothing
+    // accepted after the flag is served.
+    for accepted in listener.incoming() {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
+            Ok(stream) => {
                 let _ = stream.set_nodelay(true);
                 let writer = match stream.try_clone() {
                     Ok(clone) => ConnWriter {
@@ -389,9 +398,6 @@ fn run_acceptor(
                         guard.push(handle);
                     }
                 }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
             }
             Err(_) => break,
         }

@@ -90,11 +90,6 @@ impl SimDram {
         &self.stats
     }
 
-    /// Mutable statistics access (shares the devices' single reset path).
-    pub fn stats_mut(&mut self) -> &mut DeviceStats {
-        &mut self.stats
-    }
-
     /// Resets the statistics (not the data).
     pub fn reset_stats(&mut self) {
         self.stats.reset();
@@ -120,7 +115,7 @@ impl SimDram {
         self.check(offset, buf.len())?;
         buf.copy_from_slice(&self.bytes[offset as usize..offset as usize + buf.len()]);
         let ns = self.profile.access_ns(buf.len() as u64);
-        self.stats.record_read(buf.len() as u64, ns);
+        self.stats.record_read(1, buf.len() as u64, ns);
         self.telemetry.record_read(1, buf.len() as u64, ns);
         Ok(())
     }
@@ -134,7 +129,7 @@ impl SimDram {
         self.check(offset, data.len())?;
         self.bytes[offset as usize..offset as usize + data.len()].copy_from_slice(data);
         let ns = self.profile.access_ns(data.len() as u64);
-        self.stats.record_write(data.len() as u64, ns);
+        self.stats.record_write(1, data.len() as u64, ns);
         self.telemetry.record_write(1, data.len() as u64, ns);
         Ok(())
     }

@@ -1,8 +1,8 @@
 //! Seeded fault injection for chaos testing the integrity stack.
 //!
-//! A [`FaultInjector`] sits inside a page device ([`crate::SimSsd`] /
-//! [`crate::file_ssd::FileSsd`]) and perturbs its traffic with three fault
-//! classes, each drawn from an independent per-operation probability:
+//! A [`FaultInjector`] sits inside the simulated SSD ([`crate::SimSsd`])
+//! and perturbs its traffic with three fault classes, each drawn from an
+//! independent per-operation probability:
 //!
 //! * **Bit flips** — one bit of one returned page is flipped *in flight*
 //!   (the stored bytes stay intact, like a transient NAND read error). The

@@ -12,9 +12,9 @@
 //! * [`stats`] — shared byte/IO/time counters every device maintains.
 //! * [`ssd`] — the page-granular SSD model with endurance tracking
 //!   (5.4 PB written per TB of capacity, the paper's §6.1 assumption),
-//!   plus fault-injection hooks (bit flips, rollbacks).
-//! * [`file_ssd`] — the same contract persisted to a host file, for
-//!   experiments larger than RAM.
+//!   plus fault-injection hooks (bit flips, rollbacks). It is the only
+//!   SSD model and lives in RAM; crash recovery keeps a copy of its pages
+//!   on disk (`fedora::durable`, DESIGN.md §8).
 //! * [`dram`] — byte-addressable DRAM model (latency + static power/GB).
 //! * [`scratchpad`] — the 4-KiB on-chip SRAM budget of the assumed TEE;
 //!   allocation failures model the "No Secure SRAM" ablation (Fig. 10).
@@ -30,20 +30,18 @@
 //! use fedora_storage::profile::SsdProfile;
 //!
 //! let mut ssd = SimSsd::new(SsdProfile::pm9a1_like(), 1024); // 1024 pages
-//! ssd.write_page(3, &vec![0xAB; 4096]).unwrap();
-//! let page = ssd.read_page(3).unwrap();
-//! assert_eq!(page[0], 0xAB);
+//! ssd.write_pages(&[(3, vec![0xAB; 4096])]).unwrap();
+//! let pages = ssd.read_pages(&[3]).unwrap();
+//! assert_eq!(pages[0][0], 0xAB);
 //! assert_eq!(ssd.stats().pages_written, 1);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod device;
 pub mod dram;
 pub mod durable;
 pub mod fault;
-pub mod file_ssd;
 pub mod profile;
 pub mod scratchpad;
 pub mod ssd;
@@ -51,14 +49,12 @@ pub mod stats;
 pub mod telemetry;
 pub mod trace_recorder;
 
-pub use device::PageDevice;
 pub use dram::SimDram;
 pub use durable::{
     atomic_write_file, atomic_write_with, fnv1a64, open_frame, read_journal, seal_frame,
     splitmix64, ByteReader, ByteWriter, CodecError, JournalWriter,
 };
 pub use fault::{FaultConfig, FaultInjector, FaultStats};
-pub use file_ssd::FileSsd;
 pub use profile::{DramProfile, SsdProfile};
 pub use scratchpad::Scratchpad;
 pub use ssd::SimSsd;

@@ -65,8 +65,8 @@ impl std::error::Error for SsdError {}
 /// use fedora_storage::{SimSsd, SsdProfile};
 /// # fn main() -> Result<(), fedora_storage::ssd::SsdError> {
 /// let mut ssd = SimSsd::new(SsdProfile::pm9a1_like(), 8);
-/// ssd.write_page(0, &vec![7u8; 4096])?;
-/// assert_eq!(ssd.read_page(0)?[0], 7);
+/// ssd.write_pages(&[(0, vec![7u8; 4096])])?;
+/// assert_eq!(ssd.read_pages(&[0])?[0][0], 7);
 /// # Ok(())
 /// # }
 /// ```
@@ -159,11 +159,6 @@ impl SimSsd {
         &self.stats
     }
 
-    /// Mutable statistics access (the shared `PageDevice` reset path).
-    pub fn stats_mut(&mut self) -> &mut DeviceStats {
-        &mut self.stats
-    }
-
     /// Resets the statistics (not the data).
     pub fn reset_stats(&mut self) {
         self.stats.reset();
@@ -187,84 +182,21 @@ impl SimSsd {
         Ok(())
     }
 
-    /// Reads one page.
-    ///
-    /// # Errors
-    ///
-    /// [`SsdError::OutOfRange`] if `page` exceeds capacity.
-    pub fn read_page(&mut self, page: u64) -> Result<Vec<u8>, SsdError> {
-        self.check(page, None)?;
-        if let Some(inj) = self.injector.as_mut() {
-            if inj.should_fail_read() {
-                self.stats.faults_transient += 1;
-                self.telemetry.fault_transient();
-                return Err(SsdError::Transient { page });
-            }
-        }
-        let pb = self.profile.page_bytes;
-        let start = page as usize * pb;
-        self.recorder.record_read(page);
-        self.stats
-            .record_read(pb as u64, self.profile.read_latency_ns);
-        self.telemetry
-            .record_read(1, pb as u64, self.profile.read_latency_ns);
-        let mut out = vec![self.pages[start..start + pb].to_vec()];
-        if let Some(inj) = self.injector.as_mut() {
-            match inj.corrupt_read(&[page], &mut out) {
-                Some(InjectedFault::BitFlip { .. }) => {
-                    self.stats.faults_bitflip += 1;
-                    self.telemetry.fault_bitflip();
-                }
-                Some(InjectedFault::Rollback { .. }) => {
-                    self.stats.faults_rollback += 1;
-                    self.telemetry.fault_rollback();
-                }
-                None => {}
-            }
-        }
-        Ok(out.remove(0))
-    }
-
-    /// Writes one page.
-    ///
-    /// # Errors
-    ///
-    /// [`SsdError::OutOfRange`] or [`SsdError::BadLength`].
-    pub fn write_page(&mut self, page: u64, data: &[u8]) -> Result<(), SsdError> {
-        self.check(page, Some(data.len()))?;
-        if let Some(inj) = self.injector.as_mut() {
-            if inj.should_fail_write() {
-                self.stats.faults_transient += 1;
-                self.telemetry.fault_transient();
-                return Err(SsdError::Transient { page });
-            }
-        }
-        let pb = self.profile.page_bytes;
-        let start = page as usize * pb;
-        if let Some(inj) = self.injector.as_mut() {
-            let first = !self.written_once[page as usize];
-            inj.record_pre_write(page, &self.pages[start..start + pb], first);
-        }
-        self.written_once[page as usize] = true;
-        self.pages[start..start + pb].copy_from_slice(data);
-        self.mark_dirty(page);
-        self.recorder.record_write(page);
-        self.stats
-            .record_write(pb as u64, self.profile.write_latency_ns);
-        self.telemetry
-            .record_write(1, pb as u64, self.profile.write_latency_ns);
-        Ok(())
-    }
-
     /// Reads a batch of pages, modeling the device's internal parallelism:
     /// the recorded busy time for the batch is `batch_read_ns(n)` rather
-    /// than `n × read_latency_ns`.
+    /// than `n × read_latency_ns`. A one-page batch costs
+    /// `read_latency_ns`.
     ///
     /// # Errors
     ///
-    /// Fails on the first out-of-range page; earlier pages in the batch are
-    /// still counted as read.
+    /// [`SsdError::OutOfRange`] if any page exceeds capacity, checked
+    /// before anything happens: a failed batch reads nothing, counts
+    /// nothing and draws no fault. [`SsdError::Transient`] when the armed
+    /// injector fails the batch.
     pub fn read_pages(&mut self, pages: &[u64]) -> Result<Vec<Vec<u8>>, SsdError> {
+        for &page in pages {
+            self.check(page, None)?;
+        }
         if let Some(inj) = self.injector.as_mut() {
             if !pages.is_empty() && inj.should_fail_read() {
                 self.stats.faults_transient += 1;
@@ -275,18 +207,14 @@ impl SimSsd {
         let mut out = Vec::with_capacity(pages.len());
         let pb = self.profile.page_bytes;
         for &page in pages {
-            self.check(page, None)?;
             let start = page as usize * pb;
             out.push(self.pages[start..start + pb].to_vec());
             self.recorder.record_read(page);
-            // Count the page; batch time is added below.
-            self.stats.pages_read += 1;
-            self.stats.bytes_read += pb as u64;
         }
-        let batch_ns = self.profile.batch_read_ns(pages.len() as u64);
-        self.stats.busy_ns += batch_ns;
-        self.telemetry
-            .record_read(pages.len() as u64, pages.len() as u64 * pb as u64, batch_ns);
+        let (n, bytes) = (pages.len() as u64, (pages.len() * pb) as u64);
+        let batch_ns = self.profile.batch_read_ns(n);
+        self.stats.record_read(n, bytes, batch_ns);
+        self.telemetry.record_read(n, bytes, batch_ns);
         if let Some(inj) = self.injector.as_mut() {
             match inj.corrupt_read(pages, &mut out) {
                 Some(InjectedFault::BitFlip { .. }) => {
@@ -303,12 +231,19 @@ impl SimSsd {
         Ok(out)
     }
 
-    /// Writes a batch of pages with batched latency accounting.
+    /// Writes a batch of pages with batched latency accounting (a
+    /// one-page batch costs `write_latency_ns`).
     ///
     /// # Errors
     ///
-    /// Fails on the first invalid page/buffer.
+    /// [`SsdError::OutOfRange`] or [`SsdError::BadLength`] for any write,
+    /// checked before anything happens: a failed batch writes nothing,
+    /// counts nothing and draws no fault. [`SsdError::Transient`] when the
+    /// armed injector fails the batch.
     pub fn write_pages(&mut self, writes: &[(u64, Vec<u8>)]) -> Result<(), SsdError> {
+        for (page, data) in writes {
+            self.check(*page, Some(data.len()))?;
+        }
         if let Some(inj) = self.injector.as_mut() {
             if !writes.is_empty() && inj.should_fail_write() {
                 self.stats.faults_transient += 1;
@@ -318,7 +253,6 @@ impl SimSsd {
         }
         let pb = self.profile.page_bytes;
         for (page, data) in writes {
-            self.check(*page, Some(data.len()))?;
             let start = *page as usize * pb;
             if let Some(inj) = self.injector.as_mut() {
                 let first = !self.written_once[*page as usize];
@@ -328,16 +262,11 @@ impl SimSsd {
             self.pages[start..start + pb].copy_from_slice(data);
             self.mark_dirty(*page);
             self.recorder.record_write(*page);
-            self.stats.pages_written += 1;
-            self.stats.bytes_written += pb as u64;
         }
-        let batch_ns = self.profile.batch_write_ns(writes.len() as u64);
-        self.stats.busy_ns += batch_ns;
-        self.telemetry.record_write(
-            writes.len() as u64,
-            writes.len() as u64 * pb as u64,
-            batch_ns,
-        );
+        let (n, bytes) = (writes.len() as u64, (writes.len() * pb) as u64);
+        let batch_ns = self.profile.batch_write_ns(n);
+        self.stats.record_write(n, bytes, batch_ns);
+        self.telemetry.record_write(n, bytes, batch_ns);
         Ok(())
     }
 
@@ -415,9 +344,9 @@ impl SimSsd {
     }
 
     /// Pages changed since the last [`clear_dirty`](Self::clear_dirty), in
-    /// ascending order. Every page mutation — [`write_page`](Self::write_page),
-    /// [`write_pages`](Self::write_pages) and both fault injections — sets
-    /// its page's bit; [`restore_page`](Self::restore_page) does not.
+    /// ascending order. Every page mutation — [`write_pages`](Self::write_pages)
+    /// and both fault injections — sets its page's bit;
+    /// [`restore_page`](Self::restore_page) does not.
     pub fn dirty_pages(&self) -> Vec<u64> {
         let mut pages = Vec::new();
         for (w, &word) in self.dirty.iter().enumerate() {
@@ -532,17 +461,20 @@ mod tests {
     fn roundtrip_page() {
         let mut s = ssd(4);
         let data = vec![0x5A; 4096];
-        s.write_page(2, &data).unwrap();
-        assert_eq!(s.read_page(2).unwrap(), data);
-        assert_eq!(s.read_page(0).unwrap(), vec![0u8; 4096]);
+        s.write_pages(&[(2, data.clone())]).unwrap();
+        assert_eq!(s.read_pages(&[2]).unwrap()[0], data);
+        assert_eq!(s.read_pages(&[0]).unwrap()[0], vec![0u8; 4096]);
     }
 
     #[test]
     fn out_of_range_rejected() {
         let mut s = ssd(4);
-        assert!(matches!(s.read_page(4), Err(SsdError::OutOfRange { .. })));
         assert!(matches!(
-            s.write_page(9, &vec![0; 4096]),
+            s.read_pages(&[4]),
+            Err(SsdError::OutOfRange { .. })
+        ));
+        assert!(matches!(
+            s.write_pages(&[(9, vec![0; 4096])]),
             Err(SsdError::OutOfRange { .. })
         ));
     }
@@ -551,7 +483,7 @@ mod tests {
     fn bad_length_rejected() {
         let mut s = ssd(4);
         assert!(matches!(
-            s.write_page(0, &[0u8; 100]),
+            s.write_pages(&[(0, vec![0u8; 100])]),
             Err(SsdError::BadLength {
                 got: 100,
                 want: 4096
@@ -563,7 +495,7 @@ mod tests {
     fn stats_track_wear() {
         let mut s = ssd(4);
         for _ in 0..10 {
-            s.write_page(0, &vec![1; 4096]).unwrap();
+            s.write_pages(&[(0, vec![1; 4096])]).unwrap();
         }
         assert_eq!(s.stats().pages_written, 10);
         assert_eq!(s.stats().bytes_written, 40960);
@@ -577,7 +509,7 @@ mod tests {
         let pages: Vec<u64> = (0..16).collect();
         a.read_pages(&pages).unwrap();
         for p in &pages {
-            b.read_page(*p).unwrap();
+            b.read_pages(&[*p]).unwrap();
         }
         assert_eq!(a.stats().pages_read, b.stats().pages_read);
         assert!(a.stats().busy_ns < b.stats().busy_ns);
@@ -590,7 +522,7 @@ mod tests {
         s.write_pages(&writes).unwrap();
         assert_eq!(s.stats().pages_written, 4);
         for p in 0..4u64 {
-            assert_eq!(s.read_page(p).unwrap()[0], p as u8);
+            assert_eq!(s.read_pages(&[p]).unwrap()[0][0], p as u8);
         }
     }
 
@@ -599,7 +531,7 @@ mod tests {
         let mut s = ssd(256); // 1 MiB device
                               // Write 100 pages over 10 simulated seconds.
         for i in 0..100u64 {
-            s.write_page(i % 256, &vec![0; 4096]).unwrap();
+            s.write_pages(&[(i % 256, vec![0; 4096])]).unwrap();
         }
         let months = s.projected_lifetime_months(10.0);
         // endurance = 1MiB*5400 ≈ 5.66e9 bytes; rate = 40960 B/s
@@ -612,9 +544,9 @@ mod tests {
     #[test]
     fn bitflip_corrupts_page() {
         let mut s = ssd(2);
-        s.write_page(0, &vec![0xAA; 4096]).unwrap();
+        s.write_pages(&[(0, vec![0xAA; 4096])]).unwrap();
         s.inject_bitflip(0, 3).unwrap();
-        let page = s.read_page(0).unwrap();
+        let page = s.read_pages(&[0]).unwrap().remove(0);
         assert_eq!(page[0], 0xAA ^ 0b1000);
         assert!(s.inject_bitflip(9, 0).is_err());
     }
@@ -622,17 +554,17 @@ mod tests {
     #[test]
     fn rollback_restores_old_image() {
         let mut s = ssd(2);
-        s.write_page(1, &vec![1; 4096]).unwrap();
+        s.write_pages(&[(1, vec![1; 4096])]).unwrap();
         let old = s.snapshot_page(1).unwrap();
-        s.write_page(1, &vec![2; 4096]).unwrap();
+        s.write_pages(&[(1, vec![2; 4096])]).unwrap();
         s.inject_rollback(1, &old).unwrap();
-        assert_eq!(s.read_page(1).unwrap()[0], 1);
+        assert_eq!(s.read_pages(&[1]).unwrap()[0][0], 1);
     }
 
     #[test]
     fn snapshot_does_not_count_stats() {
         let mut s = ssd(2);
-        s.write_page(0, &vec![5; 4096]).unwrap();
+        s.write_pages(&[(0, vec![5; 4096])]).unwrap();
         let reads_before = s.stats().pages_read;
         let _ = s.snapshot_page(0).unwrap();
         assert_eq!(s.stats().pages_read, reads_before);
@@ -644,7 +576,7 @@ mod tests {
         let r = Registry::new();
         let mut s = ssd(8);
         s.set_telemetry(crate::telemetry::DeviceTelemetry::attach(&r, "storage"));
-        s.write_page(0, &vec![1; 4096]).unwrap();
+        s.write_pages(&[(0, vec![1; 4096])]).unwrap();
         s.read_pages(&[0, 0]).unwrap();
         let snap = r.snapshot();
         assert_eq!(
@@ -676,7 +608,7 @@ mod tests {
         let mut s = ssd(8);
         let rec = AccessTraceRecorder::new();
         s.set_access_recorder(rec.clone());
-        s.write_page(3, &vec![1; 4096]).unwrap();
+        s.write_pages(&[(3, vec![1; 4096])]).unwrap();
         s.read_pages(&[3, 5]).unwrap();
         let trace = rec.snapshot();
         assert_eq!(trace.len(), 3);
@@ -693,8 +625,8 @@ mod tests {
     #[test]
     fn state_codec_roundtrips_pages_stats_and_written_map() {
         let mut s = ssd(4);
-        s.write_page(1, &vec![0xC4; 4096]).unwrap();
-        s.read_page(1).unwrap();
+        s.write_pages(&[(1, vec![0xC4; 4096])]).unwrap();
+        s.read_pages(&[1]).unwrap();
         let mut w = ByteWriter::new();
         s.encode_state(&mut w);
         let bytes = w.into_bytes();
@@ -712,7 +644,7 @@ mod tests {
         restored
             .restore_page(1, &s.snapshot_page(1).unwrap())
             .unwrap();
-        assert_eq!(restored.read_page(1).unwrap()[0], 0xC4);
+        assert_eq!(restored.read_pages(&[1]).unwrap()[0][0], 0xC4);
         // Stats resumed, then incremented by the read above.
         assert_eq!(restored.stats().pages_written, 1);
         assert_eq!(restored.stats().pages_read, 2);
@@ -723,8 +655,8 @@ mod tests {
             rollback_per_read: 1.0,
             ..FaultConfig::default()
         });
-        restored.write_page(1, &vec![0xC5; 4096]).unwrap();
-        assert_eq!(restored.read_page(1).unwrap()[0], 0xC4);
+        restored.write_pages(&[(1, vec![0xC5; 4096])]).unwrap();
+        assert_eq!(restored.read_pages(&[1]).unwrap()[0][0], 0xC4);
     }
 
     #[test]
@@ -745,20 +677,20 @@ mod tests {
     fn every_page_mutation_sets_its_dirty_bit() {
         let mut s = ssd(130);
         assert!(s.dirty_pages().is_empty());
-        s.write_page(3, &vec![1; 4096]).unwrap();
+        s.write_pages(&[(3, vec![1; 4096])]).unwrap();
         s.write_pages(&[(64, vec![2; 4096]), (129, vec![3; 4096])])
             .unwrap();
         s.inject_bitflip(70, 5).unwrap();
         s.inject_rollback(0, &vec![9; 4096]).unwrap();
         // Reads, snapshots and restores change nothing the writer must copy.
-        s.read_page(3).unwrap();
+        s.read_pages(&[3]).unwrap();
         s.read_pages(&[64, 65]).unwrap();
         let _ = s.snapshot_page(1).unwrap();
         s.restore_page(2, &vec![4; 4096]).unwrap();
         assert_eq!(s.dirty_pages(), vec![0, 3, 64, 70, 129]);
         s.clear_dirty();
         assert!(s.dirty_pages().is_empty());
-        assert_eq!(s.read_page(2).unwrap()[0], 4);
+        assert_eq!(s.read_pages(&[2]).unwrap()[0][0], 4);
     }
 
     #[test]
@@ -786,11 +718,80 @@ mod tests {
     }
 
     #[test]
+    fn armed_device_counts_transients() {
+        let mut s = ssd(8);
+        s.arm_faults(FaultConfig {
+            transient_per_read: 1.0,
+            ..FaultConfig::default()
+        });
+        s.write_pages(&[(0, vec![1; 4096])]).unwrap();
+        assert!(matches!(
+            s.read_pages(&[0]),
+            Err(SsdError::Transient { page: 0 })
+        ));
+        // One-shot cooldown: the retry must succeed.
+        assert_eq!(s.read_pages(&[0]).unwrap()[0][0], 1);
+        assert_eq!(s.fault_stats().transients, 1);
+        assert_eq!(s.stats().faults_transient, 1);
+        s.disarm_faults();
+        assert_eq!(s.fault_stats().total(), 0);
+    }
+
+    #[test]
+    fn failed_batch_changes_nothing() {
+        use crate::trace_recorder::AccessTraceRecorder;
+        use fedora_telemetry::Registry;
+        let r = Registry::new();
+        let mut s = ssd(4);
+        s.set_telemetry(crate::telemetry::DeviceTelemetry::attach(&r, "storage"));
+        let rec = AccessTraceRecorder::new();
+        s.set_access_recorder(rec.clone());
+        s.write_pages(&[(1, vec![1; 4096])]).unwrap();
+        s.read_pages(&[1]).unwrap();
+        // Page bytes (hashed), dirty set, recorder trace, stats and the
+        // registry's `storage.*` counters.
+        let state = |s: &SimSsd| {
+            let pages: Vec<u64> = (0..4)
+                .map(|p| crate::durable::fnv1a64(&s.snapshot_page(p).unwrap()))
+                .collect();
+            let counters = r.snapshot().counters;
+            (pages, s.dirty_pages(), rec.snapshot(), *s.stats(), counters)
+        };
+        let before = state(&s);
+        let failing = |s: &mut SimSsd| {
+            let short = s.write_pages(&[(0, vec![2; 4096]), (1, vec![2; 100])]);
+            assert!(matches!(short, Err(SsdError::BadLength { got: 100, .. })));
+            let past_end = s.write_pages(&[(0, vec![2; 4096]), (9, vec![2; 4096])]);
+            assert!(matches!(
+                past_end,
+                Err(SsdError::OutOfRange { page: 9, .. })
+            ));
+            let past_end = s.read_pages(&[0, 9]);
+            assert!(matches!(
+                past_end,
+                Err(SsdError::OutOfRange { page: 9, .. })
+            ));
+        };
+        failing(&mut s);
+        assert_eq!(state(&s), before);
+        // Nor does a failed batch draw from an armed injector, which would
+        // otherwise fail each of these batches transiently.
+        s.arm_faults(FaultConfig {
+            transient_per_read: 1.0,
+            transient_per_write: 1.0,
+            ..FaultConfig::default()
+        });
+        failing(&mut s);
+        assert_eq!(state(&s), before);
+        assert_eq!(s.fault_stats().total(), 0);
+    }
+
+    #[test]
     fn reset_stats_keeps_data() {
         let mut s = ssd(2);
-        s.write_page(1, &vec![3; 4096]).unwrap();
+        s.write_pages(&[(1, vec![3; 4096])]).unwrap();
         s.reset_stats();
         assert_eq!(s.stats().pages_written, 0);
-        assert_eq!(s.read_page(1).unwrap()[0], 3);
+        assert_eq!(s.read_pages(&[1]).unwrap()[0][0], 3);
     }
 }

@@ -30,22 +30,23 @@ impl DeviceStats {
         Self::default()
     }
 
-    /// Zeroes every counter in place — the single reset path shared by all
-    /// devices (`SimSsd`, `FileSsd`, `SimDram`) and the `PageDevice` trait.
+    /// Zeroes every counter in place (what `SimSsd::reset_stats` and
+    /// `SimDram::reset_stats` run).
     pub fn reset(&mut self) {
         *self = DeviceStats::default();
     }
 
-    /// Records a read of `bytes` taking `ns` nanoseconds.
-    pub fn record_read(&mut self, bytes: u64, ns: u64) {
-        self.pages_read += 1;
+    /// Records `pages` page reads (transactions, for DRAM) of `bytes` in
+    /// total, taking `ns` nanoseconds.
+    pub fn record_read(&mut self, pages: u64, bytes: u64, ns: u64) {
+        self.pages_read += pages;
         self.bytes_read += bytes;
         self.busy_ns += ns;
     }
 
-    /// Records a write of `bytes` taking `ns` nanoseconds.
-    pub fn record_write(&mut self, bytes: u64, ns: u64) {
-        self.pages_written += 1;
+    /// Records `pages` page writes, as for [`record_read`](Self::record_read).
+    pub fn record_write(&mut self, pages: u64, bytes: u64, ns: u64) {
+        self.pages_written += pages;
         self.bytes_written += bytes;
         self.busy_ns += ns;
     }
@@ -83,11 +84,6 @@ impl DeviceStats {
         }
     }
 
-    /// Total injected faults of any kind.
-    pub fn faults_total(&self) -> u64 {
-        self.faults_bitflip + self.faults_rollback + self.faults_transient
-    }
-
     /// Busy time in seconds.
     pub fn busy_seconds(&self) -> f64 {
         self.busy_ns as f64 / 1e9
@@ -115,9 +111,9 @@ mod tests {
     #[test]
     fn record_accumulates() {
         let mut s = DeviceStats::new();
-        s.record_read(4096, 1000);
-        s.record_read(4096, 1000);
-        s.record_write(4096, 2000);
+        s.record_read(1, 4096, 1000);
+        s.record_read(1, 4096, 1000);
+        s.record_write(1, 4096, 2000);
         assert_eq!(s.pages_read, 2);
         assert_eq!(s.pages_written, 1);
         assert_eq!(s.bytes_read, 8192);
@@ -128,9 +124,9 @@ mod tests {
     #[test]
     fn since_diffs() {
         let mut s = DeviceStats::new();
-        s.record_write(100, 10);
+        s.record_write(1, 100, 10);
         let snapshot = s;
-        s.record_write(200, 20);
+        s.record_write(1, 200, 20);
         let d = s.since(&snapshot);
         assert_eq!(d.pages_written, 1);
         assert_eq!(d.bytes_written, 200);
@@ -140,9 +136,9 @@ mod tests {
     #[test]
     fn merged_sums() {
         let mut a = DeviceStats::new();
-        a.record_read(1, 1);
+        a.record_read(1, 1, 1);
         let mut b = DeviceStats::new();
-        b.record_write(2, 2);
+        b.record_write(1, 2, 2);
         let m = a.merged(&b);
         assert_eq!(m.pages_read, 1);
         assert_eq!(m.pages_written, 1);
@@ -153,7 +149,7 @@ mod tests {
     #[test]
     fn reset_zeroes_in_place() {
         let mut s = DeviceStats::new();
-        s.record_read(4096, 1000);
+        s.record_read(1, 4096, 1000);
         s.faults_bitflip = 2;
         s.reset();
         assert_eq!(s, DeviceStats::default());
@@ -162,7 +158,7 @@ mod tests {
     #[test]
     fn busy_seconds_converts() {
         let mut s = DeviceStats::new();
-        s.record_read(1, 1_500_000_000);
+        s.record_read(1, 1, 1_500_000_000);
         assert!((s.busy_seconds() - 1.5).abs() < 1e-9);
     }
 
