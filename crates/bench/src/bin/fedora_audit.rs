@@ -49,7 +49,7 @@ USAGE:
 --threads N runs every audited pipeline with N worker threads; the checks
 must pass identically at any thread count (determinism is the point).
 
---empirical additionally runs the online empirical-ε estimator
+--empirical additionally runs the twin-run empirical-ε estimator
 (fedora::audit::empirical) over N replayed adjacent twin pairs per check
 (default 24, --empirical-samples): the honest mechanisms must NOT trip
 the empirical alarm and the naive-dedup canary MUST. The canary's ε is

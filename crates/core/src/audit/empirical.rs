@@ -1,11 +1,12 @@
-//! Online empirical-ε estimation over replayed twin pairs.
+//! Empirical-ε estimation over replayed twin pairs.
 //!
 //! The twin-run auditor ([`crate::audit`]) answers a yes/no question: did
 //! the traces diverge beyond what the configured claim allows? This module
 //! upgrades that to a *quantity* — how much did the observed access
-//! pattern actually leak — so a live deployment can alarm when empirical
-//! leakage drifts past the configured budget instead of waiting for an
-//! offline audit.
+//! pattern actually leak — and alarms when that confidently exceeds the
+//! configured mechanism ε. It is an offline audit (`fedora_audit
+//! --empirical`): the two arms of a pair must differ only in their input,
+//! which consecutive live rounds never guarantee.
 //!
 //! ## Model
 //!
@@ -112,17 +113,8 @@ pub struct EpsilonEstimator {
     /// Twin value-distance `d`: the loss of one pair bounds `d` values'
     /// worth of ε, so per-value ε divides by it.
     distance: f64,
-    /// Retained-pair cap (0 = unbounded): once exceeded, the oldest pair
-    /// is evicted, turning the estimate into a sliding window over the
-    /// most recent pairs — what a long-lived live refresher wants.
-    max_samples: usize,
     counts_a: Vec<BTreeMap<Channel, u64>>,
     counts_b: Vec<BTreeMap<Channel, u64>>,
-    /// Per-pair value distance (pairs fed via
-    /// [`observe_pair_scaled`](Self::observe_pair_scaled) may each carry
-    /// their own `d`; [`observe_pair`](Self::observe_pair) uses the
-    /// constructor's).
-    distances: Vec<f64>,
 }
 
 impl EpsilonEstimator {
@@ -132,57 +124,18 @@ impl EpsilonEstimator {
         EpsilonEstimator {
             pages_per_bucket,
             distance: distance.max(1) as f64,
-            max_samples: 0,
             counts_a: Vec::new(),
             counts_b: Vec::new(),
-            distances: Vec::new(),
         }
-    }
-
-    /// Caps retained pairs at `max` (0 = unbounded); when a new pair would
-    /// exceed the cap the oldest is evicted, so a long-lived estimator
-    /// holds bounded memory and tracks *recent* behaviour.
-    pub fn set_max_samples(&mut self, max: usize) {
-        self.max_samples = max;
-    }
-
-    /// Twin pairs observed so far.
-    pub fn samples(&self) -> usize {
-        self.counts_a.len()
     }
 
     /// Ingests one replayed twin pair (raw traces; canonicalization and
     /// path-count collapse happen here).
     pub fn observe_pair(&mut self, trace_a: &[AccessRecord], trace_b: &[AccessRecord]) {
-        let d = self.distance;
-        self.push_pair(trace_a, trace_b, d);
-    }
-
-    /// Ingests one pair whose inputs sit `distance` feature values apart,
-    /// overriding the constructor's distance for this sample only. This is
-    /// the live-refresher entry point: consecutive captured rounds are not
-    /// controlled twins, so each pair carries its own symmetric-difference
-    /// distance ([`value_distance`]) and the per-value scaling stays honest.
-    pub fn observe_pair_scaled(
-        &mut self,
-        trace_a: &[AccessRecord],
-        trace_b: &[AccessRecord],
-        distance: usize,
-    ) {
-        self.push_pair(trace_a, trace_b, distance.max(1) as f64);
-    }
-
-    fn push_pair(&mut self, trace_a: &[AccessRecord], trace_b: &[AccessRecord], distance: f64) {
         self.counts_a
             .push(path_counts(&canonicalize(trace_a, self.pages_per_bucket)));
         self.counts_b
             .push(path_counts(&canonicalize(trace_b, self.pages_per_bucket)));
-        self.distances.push(distance);
-        if self.max_samples > 0 && self.counts_a.len() > self.max_samples {
-            self.counts_a.remove(0);
-            self.counts_b.remove(0);
-            self.distances.remove(0);
-        }
     }
 
     /// The current estimate. See the [module docs](self) for semantics.
@@ -245,15 +198,13 @@ impl EpsilonEstimator {
                         llr += 0.5 * (pb_b / pa_b).ln();
                     }
                 }
-                llr / self.distances[i]
+                llr / self.distance
             })
             .collect();
         let mean = losses.iter().sum::<f64>() / nf;
         // First-order plug-in bias of the empirical-llr estimate, scaled
-        // by the mean inverse distance (reduces to 1/d when every pair
-        // shares the constructor's distance).
-        let inv_d = self.distances.iter().map(|d| 1.0 / d).sum::<f64>() / nf;
-        let bias = support_excess as f64 * inv_d / (2.0 * nf);
+        // to per-value ε like the losses.
+        let bias = support_excess as f64 / self.distance / (2.0 * nf);
         let eps_hat = (mean - bias).max(0.0);
         if n < 2 {
             return EpsilonEstimate {
@@ -466,38 +417,6 @@ mod tests {
         let grouped = build(8);
         assert!(tight > 0.0 && grouped > 0.0);
         assert!((tight / grouped - 8.0).abs() < 0.5, "{tight} vs {grouped}");
-    }
-
-    #[test]
-    fn scaled_pairs_match_constructor_distance() {
-        // Feeding every pair through observe_pair_scaled with the same d
-        // must reproduce observe_pair on an estimator constructed with d.
-        let mut fixed = EpsilonEstimator::new(1, 4);
-        let mut scaled = EpsilonEstimator::new(1, 1);
-        for _ in 0..4 {
-            fixed.observe_pair(&paths(8), &paths(2));
-            scaled.observe_pair_scaled(&paths(8), &paths(2), 4);
-        }
-        assert_eq!(fixed.estimate(), scaled.estimate());
-    }
-
-    #[test]
-    fn max_samples_evicts_oldest_pairs() {
-        let mut e = EpsilonEstimator::new(1, 1);
-        e.set_max_samples(3);
-        // Old lopsided pairs…
-        for _ in 0..5 {
-            e.observe_pair(&paths(8), &paths(1));
-        }
-        assert_eq!(e.samples(), 3, "cap holds");
-        // …age out entirely once three identical pairs displace them.
-        for _ in 0..3 {
-            let t = paths(5);
-            e.observe_pair(&t, &t);
-        }
-        let est = e.estimate();
-        assert_eq!(est.samples, 3);
-        assert_eq!(est.eps_hat, 0.0, "window now sees only identical twins");
     }
 
     #[test]

@@ -180,9 +180,11 @@ impl PrivacyBudgetConfig {
 /// The live privacy/SLO watch plane: every `every_rounds` committed
 /// rounds the server reads its watched series (rounds, round latency,
 /// served and shed requests), windows them against the previous sample
-/// the way [`fedora_telemetry::Snapshot::delta`] does, evaluates the configured rules over the *window* (not lifetime
-/// averages), and journals a `watch.alarm.*` event per violated rule. The
-/// latest report is kept in memory for the `fedora-net` `watch` verb.
+/// the way [`fedora_telemetry::Snapshot::delta`] does, evaluates the SLO
+/// rules over the *window* (not lifetime averages), and journals a
+/// `watch.alarm.*` event per violated rule. The latest report, which also
+/// carries the accountant's cumulative ε, is kept in memory for the
+/// `fedora-net` `watch` verb.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WatchConfig {
     /// Sample every N committed rounds (0 disables the watch plane
@@ -194,18 +196,6 @@ pub struct WatchConfig {
     /// SLO: alarm when shed requests exceed this many parts-per-million of
     /// the window's admitted + shed requests.
     pub max_shed_ppm: Option<u64>,
-    /// Privacy: alarm when the latest empirical-ε estimate confidently
-    /// exceeds the configured mechanism ε (see
-    /// [`crate::audit::empirical::EpsilonEstimate::exceeds`]).
-    pub alarm_on_empirical: bool,
-    /// Continuous empirical-ε refresh: every N committed rounds the server
-    /// pairs the two most recent live shadow traces (captured via an
-    /// internally attached [`fedora_storage::AccessTraceRecorder`]), feeds
-    /// them to the running [`crate::audit::empirical::EpsilonEstimator`],
-    /// and republishes the `fdp.empirical.*` gauges — no on-demand twin
-    /// replay. 0 disables the refresher (no recorder is attached, no
-    /// per-round trace copies are taken).
-    pub empirical_every_rounds: u64,
 }
 
 impl Default for WatchConfig {
@@ -221,31 +211,22 @@ impl WatchConfig {
             every_rounds: 0,
             max_round_p99_ns: None,
             max_shed_ppm: None,
-            alarm_on_empirical: false,
-            empirical_every_rounds: 0,
         }
     }
 
-    /// Sample every `every_rounds` rounds with the empirical-ε rule armed
-    /// and no SLO thresholds (add them via struct update).
+    /// Sample every `every_rounds` rounds with no SLO thresholds (add them
+    /// via struct update).
     pub fn every(every_rounds: u64) -> Self {
         WatchConfig {
             every_rounds,
             max_round_p99_ns: None,
             max_shed_ppm: None,
-            alarm_on_empirical: true,
-            empirical_every_rounds: 0,
         }
     }
 
     /// Whether the watch plane samples at all.
     pub fn is_enabled(&self) -> bool {
         self.every_rounds > 0
-    }
-
-    /// Whether the continuous empirical-ε refresher is on.
-    pub fn empirical_enabled(&self) -> bool {
-        self.empirical_every_rounds > 0
     }
 }
 

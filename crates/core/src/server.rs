@@ -13,12 +13,11 @@ use fedora_oram::raw::RawOram;
 use fedora_oram::store::{BucketStore, IntegrityStats, ScrubReport, SsdBucketStore};
 use fedora_oram::OramError;
 use fedora_storage::stats::DeviceStats;
-use fedora_storage::{AccessRecord, AccessTraceRecorder};
+use fedora_storage::AccessTraceRecorder;
 use fedora_storage::{ByteReader, ByteWriter, CodecError, FaultConfig, FaultStats};
 use fedora_telemetry::{Counter, Gauge, Histogram, HistogramSummary, Registry, TraceSpan};
 use rand::Rng;
 
-use crate::audit::empirical::{value_distance, EpsilonEstimate, EpsilonEstimator};
 use crate::config::FedoraConfig;
 use crate::durable::{
     self, CheckpointStats, CrashPoint, DurableError, DurableState, FaultPlan, JournalRecord,
@@ -364,30 +363,6 @@ impl FlTelemetry {
     }
 }
 
-/// Retained-pair cap for the live empirical-ε refresher: enough pairs for
-/// tight intervals (the black-box ceiling is ≈ ln(2n+1) nats), bounded so
-/// a months-long soak holds constant memory and tracks recent behaviour.
-const MAX_REFRESHER_PAIRS: usize = 128;
-
-/// State of the continuous empirical-ε refresher: an internally owned
-/// shadow recorder armed only on capture rounds, the running estimator,
-/// and the first arm of the next pair. Unlike the offline twin audit
-/// ([`crate::audit::empirical::estimate_twin_inputs`]), consecutive live
-/// rounds are not controlled twins — each pair carries its own
-/// [`value_distance`], making the estimate a *drift monitor*: an honest
-/// mechanism keeps overlapping path-count supports and a small ε̂, while
-/// an implementation whose access count tracks its inputs drifts upward.
-struct EmpiricalRefresher {
-    recorder: AccessTraceRecorder,
-    estimator: EpsilonEstimator,
-    /// Whether the recorder is currently attached to the main store.
-    armed: bool,
-    /// Request schedule of the capture round in flight.
-    round_requests: Vec<u64>,
-    /// First arm of the next estimator pair: (requests, trace).
-    pending: Option<(Vec<u64>, Vec<AccessRecord>)>,
-}
-
 /// Telemetry handles mirroring the privacy accountant into the registry —
 /// the *privacy ledger* of the observability layer (§3.1 accounting made
 /// visible).
@@ -414,13 +389,6 @@ struct PrivacyLedger {
     lost: Counter,
     k_union: Gauge,
     k_overhead: Histogram,
-    // Empirical-ε estimates come from twin-run audits over recorded
-    // traces; the estimate itself is derived from access patterns, so it
-    // stays audit-only alongside the other trace-derived series.
-    empirical_eps_hat: Gauge,
-    empirical_ci_lo: Gauge,
-    empirical_ci_hi: Gauge,
-    empirical_samples: Gauge,
 }
 
 impl PrivacyLedger {
@@ -437,10 +405,6 @@ impl PrivacyLedger {
             lost: registry.counter_audit("fdp.lost.total"),
             k_union: registry.gauge_audit("fdp.round.k_union"),
             k_overhead: registry.histogram_audit("fdp.k.overhead"),
-            empirical_eps_hat: registry.gauge_audit("fdp.empirical.eps_hat"),
-            empirical_ci_lo: registry.gauge_audit("fdp.empirical.ci_lo"),
-            empirical_ci_hi: registry.gauge_audit("fdp.empirical.ci_hi"),
-            empirical_samples: registry.gauge_audit("fdp.empirical.samples"),
         };
         // Static per config: the mechanism ε after group-privacy division
         // (ε/n for HideValueCount{n}), and the budget ceiling if set.
@@ -505,37 +469,22 @@ pub struct FedoraServer {
     /// Main-ORAM insertions so far in the write phase (MidEvictionWrite
     /// trigger).
     round_inserts: u64,
-    /// Latest empirical-ε estimate fed in via
-    /// [`record_empirical_estimate`](Self::record_empirical_estimate).
-    /// Ephemeral: estimates come from out-of-band twin-run audits, so
-    /// they are not part of the durable checkpoint.
-    empirical: Option<EpsilonEstimate>,
-    /// Whether the empirical-ε exceedance has already been journaled
-    /// (the `watch.alarm.empirical_eps` event fires once per crossing).
-    empirical_flagged: bool,
     /// The watched series at the previous watch sample, for interval
     /// deltas. Ephemeral, like the rest of the watch plane.
     watch_prev: WatchMark,
     /// The most recent watch report, if the watch plane is enabled and
     /// has sampled at least once.
     watch_last: Option<WatchReport>,
-    /// Continuous empirical-ε refresher state, present when
-    /// [`WatchConfig::empirical_every_rounds`] > 0.
-    ///
-    /// [`WatchConfig::empirical_every_rounds`]: crate::config::WatchConfig::empirical_every_rounds
-    refresher: Option<EmpiricalRefresher>,
 }
 
 /// One sample of the live privacy/SLO watch plane: interval health over
 /// the last `window_rounds` committed rounds, evaluated against the
 /// thresholds in [`WatchConfig`](crate::config::WatchConfig).
 ///
-/// The report deliberately carries only public series (round latency,
-/// shed ratio, cumulative ε from the accountant) plus the empirical-ε
-/// *verdict-level* numbers — the estimate and its sample count — which
-/// the operator already opted into by running the estimator. Alarms are
-/// symbolic names (`round_p99`, `shed_ppm`, `empirical_eps`) so callers
-/// can match on them without parsing.
+/// The report carries only public series: round latency, shed ratio and
+/// the accountant's cumulative ε. Alarms are symbolic names
+/// (`round_p99`, `shed_ppm`) so callers can match on them without
+/// parsing.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct WatchReport {
     /// Committed-round count when this sample was taken.
@@ -553,12 +502,6 @@ pub struct WatchReport {
     pub shed_ppm: u64,
     /// Cumulative ε spent (accountant total at sample time).
     pub total_epsilon: f64,
-    /// Latest empirical-ε estimate (0 when no estimate recorded).
-    pub eps_hat: f64,
-    /// Twin pairs behind `eps_hat` (0 when no estimate recorded).
-    pub eps_samples: u64,
-    /// The configured mechanism ε the estimate is judged against.
-    pub eps_budget: f64,
     /// Alarm names active in this window, in evaluation order.
     pub alarms: Vec<String>,
     /// Wall-time this sample itself cost, in nanoseconds.
@@ -632,20 +575,6 @@ impl FedoraServer {
         let chunk_plan = ChunkPlan::new(config.privacy.chunk_size);
         let telemetry = FlTelemetry::attach(&registry);
         let ledger = PrivacyLedger::attach(&registry, &config);
-        let refresher = if config.watch.empirical_enabled() {
-            let ppb = config.geometry.pages_per_bucket(config.ssd.page_bytes);
-            let mut estimator = EpsilonEstimator::new(ppb, 1);
-            estimator.set_max_samples(MAX_REFRESHER_PAIRS);
-            Some(EmpiricalRefresher {
-                recorder: AccessTraceRecorder::new(),
-                estimator,
-                armed: false,
-                round_requests: Vec::new(),
-                pending: None,
-            })
-        } else {
-            None
-        };
         FedoraServer {
             config,
             main,
@@ -669,11 +598,8 @@ impl FedoraServer {
             seed_hint: 0,
             round_accesses: 0,
             round_inserts: 0,
-            empirical: None,
-            empirical_flagged: false,
             watch_prev: WatchMark::default(),
             watch_last: None,
-            refresher,
         }
     }
 
@@ -773,13 +699,6 @@ impl FedoraServer {
     /// the physical page-access sequence can be audited for obliviousness
     /// (see [`AccessTraceRecorder`] and [`crate::audit`]). An aborted
     /// round's accesses stay in the trace: the bus saw them.
-    ///
-    /// Note: when the continuous empirical-ε refresher is enabled
-    /// ([`WatchConfig::empirical_every_rounds`] > 0) the server re-arms
-    /// its *own* recorder at every capture round, displacing one attached
-    /// here — run offline audits with the refresher off.
-    ///
-    /// [`WatchConfig::empirical_every_rounds`]: crate::config::WatchConfig::empirical_every_rounds
     pub fn set_access_recorder(&mut self, recorder: AccessTraceRecorder) {
         self.main.store_mut().set_access_recorder(recorder);
     }
@@ -819,11 +738,6 @@ impl FedoraServer {
     /// [`FedoraError::CrashInjected`]. One-shot (disarms on fire).
     pub fn arm_crash_point(&mut self, point: CrashPoint) {
         self.crash_armed = Some(point);
-    }
-
-    /// Disarms any armed crash point.
-    pub fn disarm_crash_point(&mut self) {
-        self.crash_armed = None;
     }
 
     /// Records the caller's RNG seed for the upcoming rounds; journaled
@@ -1046,11 +960,6 @@ impl FedoraServer {
             ],
         );
         Ok(self.committed_rounds)
-    }
-
-    /// Quarantined main-ORAM buckets (failed reads pending repair).
-    pub fn quarantined_buckets(&self) -> Vec<u64> {
-        self.main.store().quarantined_nodes()
     }
 
     /// Entry ids lost to bucket repairs, excluded from future rounds.
@@ -1288,32 +1197,6 @@ impl FedoraServer {
                 }
             }
         }
-        // Enforcing budget mode also honors the empirical estimator: a
-        // confident measured exceedance of the mechanism ε means the
-        // implementation is leaking more than the accountant admits, so
-        // refusing further rounds is the only sound response.
-        if self.config.privacy_budget.enforce {
-            if let Some(est) = self.empirical.as_ref() {
-                let budget = self.config.privacy.mechanism.epsilon();
-                if est.exceeds(budget) {
-                    let eps_hat = est.eps_hat;
-                    self.ledger.budget_refused.incr();
-                    self.registry.event(
-                        "privacy.budget.refused",
-                        &[
-                            ("round", self.committed_rounds.into()),
-                            ("spent", eps_hat.into()),
-                            ("budget", budget.into()),
-                            ("empirical", true.into()),
-                        ],
-                    );
-                    return Err(FedoraError::PrivacyBudgetExhausted {
-                        spent: eps_hat,
-                        budget,
-                    });
-                }
-            }
-        }
         // Restart-stable chaos: derive and arm this round's fault seed
         // before journaling it, so a recovered campaign replays the same
         // stream for the same round number.
@@ -1337,27 +1220,6 @@ impl FedoraServer {
         }
         self.round_accesses = 0;
         self.round_inserts = 0;
-        // Continuous empirical-ε refresher: arm the shadow recorder only
-        // on capture rounds (this round commits as committed_rounds + 1),
-        // so every other round pays zero per-access recording overhead.
-        if let Some(r) = self.refresher.as_mut() {
-            let every = self.config.watch.empirical_every_rounds;
-            if every > 0 && (self.committed_rounds + 1).is_multiple_of(every) {
-                r.recorder.clear();
-                r.round_requests = requests.to_vec();
-                if !r.armed {
-                    self.main
-                        .store_mut()
-                        .set_access_recorder(r.recorder.clone());
-                    r.armed = true;
-                }
-            } else if r.armed {
-                self.main
-                    .store_mut()
-                    .set_access_recorder(AccessTraceRecorder::disabled());
-                r.armed = false;
-            }
-        }
         self.crash_check(CrashPoint::PostJournalBegin)?;
         self.registry.event(
             "round.begin",
@@ -1778,54 +1640,8 @@ impl FedoraServer {
         self.committed_rounds += 1;
         self.checkpoint_and_commit(&state.report, prev_last)?;
         self.telemetry.uptime_rounds.set_u64(self.committed_rounds);
-        // Refresh before the watch sample so a report taken at the same
-        // commit already sees the new estimate.
-        self.maybe_empirical_refresh();
         self.maybe_watch_sample();
         Ok(state.report.clone())
-    }
-
-    /// Feeds an out-of-band empirical-ε estimate (from
-    /// [`audit::empirical`](crate::audit::empirical)) into the server's
-    /// privacy ledger and watch plane.
-    ///
-    /// Publishes the `fdp.empirical.*` audit-only gauges, and — if the
-    /// estimate confidently exceeds the configured mechanism ε — journals
-    /// a `watch.alarm.empirical_eps` event once per crossing. When budget
-    /// enforcement is on, subsequent [`begin_round`](Self::begin_round)
-    /// calls are refused while the exceedance stands.
-    pub fn record_empirical_estimate(&mut self, estimate: EpsilonEstimate) {
-        self.ledger.empirical_eps_hat.set(estimate.eps_hat);
-        self.ledger.empirical_ci_lo.set(estimate.ci_lo);
-        self.ledger.empirical_ci_hi.set(estimate.ci_hi);
-        self.ledger
-            .empirical_samples
-            .set_u64(estimate.samples as u64);
-        let budget = self.config.privacy.mechanism.epsilon();
-        if estimate.exceeds(budget) {
-            if !self.empirical_flagged {
-                self.empirical_flagged = true;
-                self.registry.event(
-                    "watch.alarm.empirical_eps",
-                    &[
-                        ("round", self.committed_rounds.into()),
-                        ("eps_hat", estimate.eps_hat.into()),
-                        ("ci_lo", estimate.ci_lo.into()),
-                        ("budget", budget.into()),
-                        ("samples", (estimate.samples as u64).into()),
-                    ],
-                );
-            }
-        } else {
-            self.empirical_flagged = false;
-        }
-        self.empirical = Some(estimate);
-    }
-
-    /// The latest empirical-ε estimate recorded via
-    /// [`record_empirical_estimate`](Self::record_empirical_estimate).
-    pub fn empirical_estimate(&self) -> Option<&EpsilonEstimate> {
-        self.empirical.as_ref()
     }
 
     /// The most recent watch-plane report, if the watch plane is enabled
@@ -1836,68 +1652,13 @@ impl FedoraServer {
         self.watch_last.as_ref()
     }
 
-    /// Continuous empirical-ε refresher: every
-    /// `watch.empirical_every_rounds` committed rounds, take the shadow
-    /// trace the round just left in the internally armed recorder. Two
-    /// consecutive captures form one estimator pair (scaled by the
-    /// schedules' [`value_distance`]); each completed pair re-estimates
-    /// and republishes the `fdp.empirical.*` gauges via
-    /// [`record_empirical_estimate`](Self::record_empirical_estimate) —
-    /// no on-demand twin replay anywhere. The refresher's own cost lands
-    /// in `watch.sample.ns`, so the watch plane's <5% overhead budget
-    /// covers it too.
-    fn maybe_empirical_refresh(&mut self) {
-        let every = self.config.watch.empirical_every_rounds;
-        if every == 0 || !self.committed_rounds.is_multiple_of(every) || self.refresher.is_none() {
-            return;
-        }
-        let started = Instant::now();
-        let refreshed = match self.refresher.as_mut() {
-            Some(r) => {
-                let trace = r.recorder.take();
-                let requests = std::mem::take(&mut r.round_requests);
-                if trace.is_empty() {
-                    None
-                } else {
-                    match r.pending.take() {
-                        None => {
-                            r.pending = Some((requests, trace));
-                            None
-                        }
-                        Some((reqs_a, trace_a)) => {
-                            let d = value_distance(&reqs_a, &requests);
-                            r.estimator.observe_pair_scaled(&trace_a, &trace, d);
-                            Some((r.estimator.estimate(), d))
-                        }
-                    }
-                }
-            }
-            None => None,
-        };
-        if let Some((estimate, distance)) = refreshed {
-            self.record_empirical_estimate(estimate);
-            self.registry.event(
-                "watch.empirical.refresh",
-                &[
-                    ("round", self.committed_rounds.into()),
-                    ("eps_hat", estimate.eps_hat.into()),
-                    ("samples", (estimate.samples as u64).into()),
-                    ("distance", (distance as u64).into()),
-                ],
-            );
-        }
-        self.registry
-            .histogram("watch.sample.ns")
-            .record(started.elapsed().as_nanos() as u64);
-    }
-
     /// Watch-plane sampler: every `watch.every_rounds` committed rounds,
     /// read the four watched series, window them against the previous
     /// sample the way [`Snapshot::delta`] does (saturating counters,
-    /// [`HistogramSummary::delta`]), evaluate the SLO/privacy rules, and
-    /// journal one `watch.alarm.*` event per tripped rule. The sample's own
-    /// cost lands in the `watch.sample.ns` histogram so the overhead claim
-    /// is itself measurable.
+    /// [`HistogramSummary::delta`]), evaluate the SLO rules, and journal
+    /// one `watch.alarm.*` event per tripped rule. The sample's own cost
+    /// lands in the `watch.sample.ns` histogram so the overhead claim is
+    /// itself measurable.
     ///
     /// [`Snapshot::delta`]: fedora_telemetry::Snapshot::delta
     fn maybe_watch_sample(&mut self) {
@@ -1946,16 +1707,6 @@ impl FedoraServer {
                 );
             }
         }
-        // The empirical-ε alarm is journaled at estimate-record time (see
-        // record_empirical_estimate); the watch report lists it while the
-        // exceedance stands so pollers see it without replaying events.
-        if cfg.alarm_on_empirical && self.empirical_flagged {
-            alarms.push("empirical_eps".to_string());
-        }
-        let (eps_hat, eps_samples) = self
-            .empirical
-            .as_ref()
-            .map_or((0.0, 0), |e| (e.eps_hat, e.samples as u64));
         self.registry
             .gauge("watch.alarms.active")
             .set_u64(alarms.len() as u64);
@@ -1970,9 +1721,6 @@ impl FedoraServer {
             requests,
             shed_ppm,
             total_epsilon: self.accountant.total_epsilon(),
-            eps_hat,
-            eps_samples,
-            eps_budget: self.config.privacy.mechanism.epsilon(),
             alarms,
             overhead_ns,
         });

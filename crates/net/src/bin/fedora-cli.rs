@@ -1,26 +1,27 @@
-//! `fedora-cli` — command-line front end for the FEDORA models and the
-//! live simulated pipeline.
+//! `fedora-cli` — command-line front end for the live simulated pipeline
+//! and its TCP serving stack.
 //!
 //! ```text
-//! fedora-cli lifetime --table small --updates 100000 --epsilon 1.0
-//! fedora-cli latency  --table medium --updates 100000 --epsilon 1.0
-//! fedora-cli round    --entries 4096 --requests 7,19,7,42 --epsilon 1.0
-//! fedora-cli attack   --epsilon 1.0 --trials 20000
-//! fedora-cli serve    --listen 127.0.0.1:7878 --entries 1024 --state-dir state
+//! fedora-cli round   --entries 4096 --requests 7,19,7,42 --epsilon 1.0
+//! fedora-cli restore --state-dir state --entries 4096
+//! fedora-cli serve   --listen 127.0.0.1:7878 --entries 1024 --state-dir state
+//! fedora-cli watch   --addr 127.0.0.1:7878
 //! ```
+//!
+//! Each command takes only the flags it reads; any other flag is an
+//! error. The analytic lifetime and latency figures are the
+//! `fig7_ssd_lifetime` and `fig8_latency` bench binaries, and the
+//! access-count attack is `examples/attack_demo.rs`.
 //!
 //! The binary lives in `fedora-net` (not the core crate) so `serve` can
 //! front the TCP serving stack without a dependency cycle.
 
 use std::collections::HashMap;
+use std::io::{self, Write};
 
-use fedora::adversary::{count_attack, dp_success_bound};
-use fedora::analytic::{fedora_round, lifetime_months, path_oram_plus_round};
 use fedora::config::WatchConfig;
 use fedora::config::{FedoraConfig, ParallelismConfig, PrivacyConfig, TableSpec};
-use fedora::latency::LatencyModel;
 use fedora::server::FedoraServer;
-use fedora_fdp::{FdpMechanism, YShape};
 use fedora_fl::modes::FedAvg;
 use fedora_net::{NetClient, NetConfig, NetServer, Request, Response, ScrapeFormat};
 use fedora_telemetry::{Registry, Snapshot};
@@ -28,16 +29,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const USAGE: &str = "\
-fedora-cli — FEDORA system models and live pipeline
+fedora-cli — FEDORA live pipeline and serving front end
 
 USAGE:
     fedora-cli <command> [--key value]...
 
 COMMANDS:
-    lifetime   SSD lifetime of FEDORA vs Path ORAM+ (analytic)
-               --table small|medium|large  --updates N  --epsilon E
-    latency    per-round latency overhead (analytic)
-               --table small|medium|large  --updates N  --epsilon E
     round      run one live round on the simulated pipeline
                --entries N  --requests a,b,c,... (at most 64 ids)
                --epsilon E
@@ -50,8 +47,6 @@ COMMANDS:
                --state-dir DIR  --entries N  --epsilon E
     restore    recover from a state dir and report what was restored
                --state-dir DIR  --entries N  --epsilon E
-    attack     optimal access-count distinguisher vs the DP bound
-               --epsilon E  --trials N
     serve      run the TCP serving front end until a protocol Shutdown
                --listen HOST:PORT (default 127.0.0.1:0; prints the
                bound address as 'listening on ADDR' before serving)
@@ -63,8 +58,6 @@ COMMANDS:
                --watch-every N (sample the privacy/SLO watch plane every
                N committed rounds; 0 = off)  --watch-max-p99-ms MS
                --watch-max-shed-ppm PPM (SLO alarm thresholds)
-               --watch-empirical-every N (refresh the live empirical-eps
-               estimate every N committed rounds; 0 = off)
                --journal-capacity N (telemetry event-journal ring size;
                scrape 'telemetry.journal.dropped' to size it)
     watch      poll a live server's watch-plane report
@@ -78,23 +71,121 @@ COMMANDS:
                printed next cursor to resume)  --max N (default 100)
     help       print this message
 
-Every command also accepts --metrics-out PATH to write a telemetry
-snapshot (counters, gauges, histogram percentiles, event journal),
+round, checkpoint, restore and serve build the same server: each takes
+--entries N, --epsilon E, --seed N, --threads N, the --watch-* flags
+and --journal-capacity N as serve documents them. The four also accept
+--metrics-out PATH to write the pipeline's telemetry snapshot
+(counters, gauges, histogram percentiles, event journal),
 --metrics-format json|prom to pick its serialization (single-line
 JSON by default; audit-only series are redacted in every format), and
 --trace-out PATH to capture causal spans as Chrome trace-event JSON
-(open in https://ui.perfetto.dev). For `round` these reflect the live
-pipeline's full registry; the analytic commands export their computed
-figures as gauges.
+(open in https://ui.perfetto.dev). A flag the command does not take is
+an error.
 ";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Parsed `--key value` pairs.
+type Flags = HashMap<String, String>;
+
+/// Why a command stopped.
+#[derive(Debug)]
+enum CliError {
+    /// A usage or pipeline failure, reported as `error: <message>`.
+    Msg(String),
+    /// Writing to stdout failed. A closed reader ends the command
+    /// quietly; any other failure is an error.
+    Stdout(io::Error),
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError::Msg(msg)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(msg: &str) -> Self {
+        CliError::Msg(msg.to_owned())
+    }
+}
+
+/// The only I/O a command propagates with `?` is its stdout.
+impl From<io::Error> for CliError {
+    fn from(e: io::Error) -> Self {
+        CliError::Stdout(e)
+    }
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CliError::Msg(msg) => f.write_str(msg),
+            CliError::Stdout(e) => write!(f, "stdout: {e}"),
+        }
+    }
+}
+
+type CmdResult = Result<(), CliError>;
+
+/// A command's entry point: it prints its report to `out`.
+type Run = fn(&Flags, &mut dyn Write) -> CmdResult;
+
+/// Flags of the live server `round`, `checkpoint`, `restore` and `serve`
+/// build ([`live_server`]).
+const SERVER_FLAGS: &[&str] = &[
+    "entries",
+    "epsilon",
+    "seed",
+    "threads",
+    "watch-every",
+    "watch-max-p99-ms",
+    "watch-max-shed-ppm",
+    "journal-capacity",
+];
+
+/// Flags of the snapshot and trace a command writes when it ends
+/// ([`write_metrics`]).
+const METRICS_FLAGS: &[&str] = &["metrics-out", "metrics-format", "trace-out"];
+
+/// The command called `name`, with the sets of flags it reads.
+fn command(name: &str) -> Option<(Run, &'static [&'static [&'static str]])> {
+    Some(match name {
+        "round" => (
+            cmd_round,
+            &[SERVER_FLAGS, METRICS_FLAGS, &["requests", "state-dir"]],
+        ),
+        "checkpoint" => (
+            cmd_checkpoint,
+            &[SERVER_FLAGS, METRICS_FLAGS, &["state-dir"]],
+        ),
+        "restore" => (cmd_restore, &[SERVER_FLAGS, METRICS_FLAGS, &["state-dir"]]),
+        "serve" => (
+            cmd_serve,
+            &[
+                SERVER_FLAGS,
+                METRICS_FLAGS,
+                &["listen", "state-dir", "queue-depth", "max-connections"],
+            ],
+        ),
+        "watch" => (cmd_watch, &[&["addr"]]),
+        "scrape" => (cmd_scrape, &[&["addr", "format"]]),
+        "tail" => (cmd_tail, &[&["addr", "cursor", "max"]]),
+        "help" | "--help" | "-h" => (cmd_help, &[]),
+        _ => return None,
+    })
+}
+
+/// Parses `--key value` pairs, refusing the first key that is in none of
+/// the `accepted` sets of command `name`.
+fn parse_flags(name: &str, accepted: &[&[&str]], args: &[String]) -> Result<Flags, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --flag, got '{}'", args[i]))?;
+        if !accepted.iter().any(|set| set.contains(&key)) {
+            return Err(format!("unknown flag --{key} for {name}"));
+        }
         let value = args
             .get(i + 1)
             .ok_or_else(|| format!("--{key} needs a value"))?;
@@ -106,7 +197,7 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
 
 /// Builds the registry a command reports into, with causal tracing
 /// pre-enabled when `--trace-out` asks for a trace.
-fn registry_for(flags: &HashMap<String, String>) -> Registry {
+fn registry_for(flags: &Flags) -> Registry {
     let registry = Registry::new();
     if flags.contains_key("trace-out") {
         registry.set_tracing(true);
@@ -117,7 +208,7 @@ fn registry_for(flags: &HashMap<String, String>) -> Registry {
 /// Writes `snapshot` when `--metrics-out PATH` was given (in the
 /// `--metrics-format` serialization, JSON by default), and as Chrome
 /// trace-event JSON when `--trace-out PATH` was given.
-fn write_metrics(flags: &HashMap<String, String>, snapshot: &Snapshot) -> Result<(), String> {
+fn write_metrics(flags: &Flags, snapshot: &Snapshot, out: &mut dyn Write) -> CmdResult {
     if let Some(path) = flags.get("metrics-out") {
         let format = flags
             .get("metrics-format")
@@ -128,33 +219,26 @@ fn write_metrics(flags: &HashMap<String, String>, snapshot: &Snapshot) -> Result
             "json" => snapshot.write_json(target),
             "prom" | "prometheus" => snapshot.write_prometheus(target),
             other => {
-                return Err(format!(
-                    "--metrics-format: unknown format '{other}' (json|prom)"
-                ))
+                let msg = format!("--metrics-format: unknown format '{other}' (json|prom)");
+                return Err(msg.into());
             }
         }
         .map_err(|e| format!("--metrics-out {path}: {e}"))?;
-        println!("  metrics written to {path} ({format})");
+        writeln!(out, "  metrics written to {path} ({format})")?;
     }
     if let Some(path) = flags.get("trace-out") {
         snapshot
             .write_chrome_trace(std::path::Path::new(path))
             .map_err(|e| format!("--trace-out {path}: {e}"))?;
-        println!("  trace written to {path} (load in https://ui.perfetto.dev)");
+        writeln!(
+            out,
+            "  trace written to {path} (load in https://ui.perfetto.dev)"
+        )?;
     }
     Ok(())
 }
 
-fn table_spec(flags: &HashMap<String, String>) -> Result<TableSpec, String> {
-    match flags.get("table").map(String::as_str).unwrap_or("small") {
-        "small" => Ok(TableSpec::small()),
-        "medium" => Ok(TableSpec::medium()),
-        "large" => Ok(TableSpec::large()),
-        other => Err(format!("unknown table '{other}' (small|medium|large)")),
-    }
-}
-
-fn f64_flag(flags: &HashMap<String, String>, key: &str, default: f64) -> Result<f64, String> {
+fn f64_flag(flags: &Flags, key: &str, default: f64) -> Result<f64, String> {
     match flags.get(key) {
         None => Ok(default),
         Some(v) if v == "inf" => Ok(f64::INFINITY),
@@ -162,7 +246,7 @@ fn f64_flag(flags: &HashMap<String, String>, key: &str, default: f64) -> Result<
     }
 }
 
-fn u64_flag(flags: &HashMap<String, String>, key: &str, default: u64) -> Result<u64, String> {
+fn u64_flag(flags: &Flags, key: &str, default: u64) -> Result<u64, String> {
     match flags.get(key) {
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("--{key}: bad integer '{v}'")),
@@ -173,20 +257,25 @@ fn u64_flag(flags: &HashMap<String, String>, key: &str, default: u64) -> Result<
 /// already exists there, otherwise initialises a fresh durable store
 /// (device image, baseline checkpoint, empty journal). Returns the
 /// restored committed round count (0 when starting fresh).
-fn attach_state_dir(server: &mut FedoraServer, dir: &str) -> Result<u64, String> {
+fn attach_state_dir(
+    server: &mut FedoraServer,
+    dir: &str,
+    out: &mut dyn Write,
+) -> Result<u64, CliError> {
     let path = std::path::Path::new(dir);
     let existing = fedora::durable::list_checkpoints(path).map_err(|e| e.to_string())?;
     if existing.is_empty() {
         server.enable_durability(path).map_err(|e| e.to_string())?;
-        println!("  state dir {dir}: initialised (no prior checkpoint)");
+        writeln!(out, "  state dir {dir}: initialised (no prior checkpoint)")?;
         Ok(0)
     } else {
         let rounds = server.recover(path).map_err(|e| e.to_string())?;
-        println!(
+        writeln!(
+            out,
             "  state dir {dir}: restored to committed round {rounds} \
              (eps spent = {:.3})",
             server.accountant().total_epsilon()
-        );
+        )?;
         Ok(rounds)
     }
 }
@@ -199,7 +288,7 @@ const MAX_REQUESTS_PER_ROUND: usize = 64;
 /// Builds the live pipeline server `round`, `checkpoint`, `restore` and
 /// `serve` operate on. Geometry and privacy must match the run that wrote
 /// the checkpoint.
-fn live_server(flags: &HashMap<String, String>) -> Result<(FedoraServer, StdRng), String> {
+fn live_server(flags: &Flags) -> Result<(FedoraServer, StdRng), String> {
     let entries = u64_flag(flags, "entries", 4096)?;
     let epsilon = f64_flag(flags, "epsilon", 1.0)?;
     let threads = u64_flag(flags, "threads", 1)?.max(1) as usize;
@@ -227,13 +316,6 @@ fn live_server(flags: &HashMap<String, String>) -> Result<(FedoraServer, StdRng)
         }
         config.watch = watch;
     }
-    // Independent of the alarm sampler: the refresher only needs the
-    // field, so `--watch-empirical-every` works with `--watch-every 0`.
-    config.watch.empirical_every_rounds = u64_flag(
-        flags,
-        "watch-empirical-every",
-        config.watch.empirical_every_rounds,
-    )?;
     if flags.contains_key("journal-capacity") {
         config.journal_capacity = u64_flag(flags, "journal-capacity", 0)?.max(1) as usize;
     }
@@ -245,7 +327,7 @@ fn live_server(flags: &HashMap<String, String>) -> Result<(FedoraServer, StdRng)
 /// Polls a live server's watch verb and pretty-prints the report. Scripts
 /// grep the `alarms:` line, so its shape (`alarms: none` or a
 /// comma-joined list) is load-bearing.
-fn cmd_watch(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_watch(flags: &Flags, out: &mut dyn Write) -> CmdResult {
     let addr = flags.get("addr").ok_or("watch needs --addr HOST:PORT")?;
     let mut client = NetClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     match client
@@ -253,32 +335,36 @@ fn cmd_watch(flags: &HashMap<String, String>) -> Result<(), String> {
         .map_err(|e| format!("watch {addr}: {e}"))?
     {
         Response::WatchOk { report: Some(r) } => {
-            println!("Watch report at round {}:", r.round);
-            println!(
+            writeln!(out, "Watch report at round {}:", r.round)?;
+            writeln!(
+                out,
                 "  window: {} rounds, p99 {:.3} ms, {} requests, shed {} ppm",
                 r.window_rounds,
                 r.round_p99_ns as f64 / 1e6,
                 r.requests,
                 r.shed_ppm
-            );
-            println!(
-                "  privacy: eps total {:.3}, empirical eps_hat {:.4} \
-                 over {} pairs (budget {:.4})",
-                r.total_epsilon, r.eps_hat, r.eps_samples, r.eps_budget
-            );
+            )?;
+            writeln!(out, "  privacy: eps total {:.3}", r.total_epsilon)?;
             if r.alarms.is_empty() {
-                println!("  alarms: none");
+                writeln!(out, "  alarms: none")?;
             } else {
-                println!("  alarms: {}", r.alarms.join(", "));
+                writeln!(out, "  alarms: {}", r.alarms.join(", "))?;
             }
-            println!("  sampler overhead: {:.3} ms", r.overhead_ns as f64 / 1e6);
+            writeln!(
+                out,
+                "  sampler overhead: {:.3} ms",
+                r.overhead_ns as f64 / 1e6
+            )?;
             Ok(())
         }
         Response::WatchOk { report: None } => {
-            println!("watch plane has not sampled yet (enable with serve --watch-every N)");
+            writeln!(
+                out,
+                "watch plane has not sampled yet (enable with serve --watch-every N)"
+            )?;
             Ok(())
         }
-        other => Err(format!("unexpected reply: {other:?}")),
+        other => Err(format!("unexpected reply: {other:?}").into()),
     }
 }
 
@@ -286,20 +372,20 @@ fn cmd_watch(flags: &HashMap<String, String>) -> Result<(), String> {
 /// prints it verbatim (Prometheus text by default). Chunked bodies are
 /// reassembled inside [`NetClient::scrape`], so piping the output to a
 /// file always yields one complete document.
-fn cmd_scrape(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_scrape(flags: &Flags, out: &mut dyn Write) -> CmdResult {
     let addr = flags.get("addr").ok_or("scrape needs --addr HOST:PORT")?;
     let format = match flags.get("format").map(String::as_str).unwrap_or("prom") {
         "prom" | "prometheus" => ScrapeFormat::Prom,
         "json" => ScrapeFormat::Json,
-        other => return Err(format!("--format: unknown format '{other}' (prom|json)")),
+        other => return Err(format!("--format: unknown format '{other}' (prom|json)").into()),
     };
     let mut client = NetClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let body = client
         .scrape(format)
         .map_err(|e| format!("scrape {addr}: {e}"))?;
-    print!("{body}");
+    out.write_all(body.as_bytes())?;
     if !body.ends_with('\n') {
-        println!();
+        writeln!(out)?;
     }
     Ok(())
 }
@@ -308,7 +394,7 @@ fn cmd_scrape(flags: &HashMap<String, String>) -> Result<(), String> {
 /// line per event plus a trailing `next cursor:` line scripts resume
 /// from. A non-zero dropped delta between polls means the server's ring
 /// evicted events this tail never saw (raise serve --journal-capacity).
-fn cmd_tail(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_tail(flags: &Flags, out: &mut dyn Write) -> CmdResult {
     let addr = flags.get("addr").ok_or("tail needs --addr HOST:PORT")?;
     let cursor = u64_flag(flags, "cursor", 0)?;
     let max = u64_flag(flags, "max", 100)?;
@@ -322,34 +408,42 @@ fn cmd_tail(flags: &HashMap<String, String>) -> Result<(), String> {
             .iter()
             .map(|(k, v)| format!("{k}={v}"))
             .collect();
-        println!("{:>8}  {}  {}", event.seq, event.name, fields.join(" "));
+        writeln!(
+            out,
+            "{:>8}  {}  {}",
+            event.seq,
+            event.name,
+            fields.join(" ")
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "next cursor: {next_cursor} ({} events, {dropped} dropped)",
         events.len()
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_checkpoint(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_checkpoint(flags: &Flags, out: &mut dyn Write) -> CmdResult {
     let dir = flags
         .get("state-dir")
         .ok_or("checkpoint needs --state-dir DIR")?;
     let (mut server, _rng) = live_server(flags)?;
-    let rounds = attach_state_dir(&mut server, dir)?;
+    let rounds = attach_state_dir(&mut server, dir, out)?;
     let stats = server.checkpoint().map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "  checkpoint generation {} written: {} bytes of controller state \
          + {} redo bytes in {:.3} ms (committed rounds = {rounds})",
         stats.generation,
         stats.bytes,
         stats.redo_bytes,
         stats.ns as f64 / 1e6
-    );
-    write_metrics(flags, &server.registry().snapshot())
+    )?;
+    write_metrics(flags, &server.registry().snapshot(), out)
 }
 
-fn cmd_restore(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_restore(flags: &Flags, out: &mut dyn Write) -> CmdResult {
     let dir = flags
         .get("state-dir")
         .ok_or("restore needs --state-dir DIR")?;
@@ -357,120 +451,26 @@ fn cmd_restore(flags: &HashMap<String, String>) -> Result<(), String> {
     let path = std::path::Path::new(dir.as_str());
     let rounds = server.recover(path).map_err(|e| e.to_string())?;
     let generations = fedora::durable::list_checkpoints(path).map_err(|e| e.to_string())?;
-    println!("Restored from {dir}:");
-    println!("  committed rounds: {rounds}");
-    println!(
+    writeln!(out, "Restored from {dir}:")?;
+    writeln!(out, "  committed rounds: {rounds}")?;
+    writeln!(
+        out,
         "  eps spent: {:.3} over {} accounted rounds",
         server.accountant().total_epsilon(),
         server.accountant().rounds()
-    );
-    println!("  checkpoint generations on disk: {generations:?}");
+    )?;
+    writeln!(out, "  checkpoint generations on disk: {generations:?}")?;
     if let Some(report) = server.last_committed_report() {
-        println!(
+        writeln!(
+            out,
             "  last committed round: K = {}, k_union = {}, k = {}, dummies = {}",
             report.k_requests, report.k_union, report.k_accesses, report.dummies
-        );
+        )?;
     }
-    write_metrics(flags, &server.registry().snapshot())
+    write_metrics(flags, &server.registry().snapshot(), out)
 }
 
-fn effective_k(k_requests: u64, epsilon: f64) -> u64 {
-    // A quick workload-free estimate: a typical hide-val duplicate rate of
-    // ~50% unique; ε only perturbs around it.
-    if epsilon == 0.0 {
-        k_requests
-    } else {
-        k_requests / 2
-    }
-}
-
-fn cmd_lifetime(flags: &HashMap<String, String>) -> Result<(), String> {
-    let table = table_spec(flags)?;
-    let updates = u64_flag(flags, "updates", 100_000)?;
-    let epsilon = f64_flag(flags, "epsilon", 1.0)?;
-    let geo = table.geometry();
-    let a = FedoraConfig::tuned_eviction_period(&geo);
-    let profile = fedora_storage::SsdProfile::pm9a1_like();
-
-    let base = path_oram_plus_round(&geo, updates, 4096);
-    let fed = fedora_round(&geo, effective_k(updates, epsilon), a, 4096);
-    let base_life = lifetime_months(&profile, &geo, &base, 120.0);
-    let fed_life = lifetime_months(&profile, &geo, &fed, 120.0);
-    println!(
-        "{} table, {updates} updates/round, eps = {epsilon}:",
-        table.name
-    );
-    println!(
-        "  ORAM on SSD: {:.1} GB (Z = {}, A = {a})",
-        geo.tree_bytes(4096) as f64 / 1e9,
-        geo.z()
-    );
-    println!("  Path ORAM+ lifetime: {base_life:.2} months");
-    println!(
-        "  FEDORA lifetime:     {fed_life:.2} months  ({:.0}x)",
-        fed_life / base_life
-    );
-    let registry = registry_for(flags);
-    registry
-        .gauge("model.lifetime.path_oram_plus_months")
-        .set(base_life);
-    registry.gauge("model.lifetime.fedora_months").set(fed_life);
-    registry.gauge("model.lifetime.epsilon").set(epsilon);
-    write_metrics(flags, &registry.snapshot())
-}
-
-fn cmd_latency(flags: &HashMap<String, String>) -> Result<(), String> {
-    let table = table_spec(flags)?;
-    let updates = u64_flag(flags, "updates", 100_000)?;
-    let epsilon = f64_flag(flags, "epsilon", 1.0)?;
-    let config = FedoraConfig::paper_tuned(table, updates as usize);
-    let model = LatencyModel::default();
-    let scans = fedora_oblivious::union::requests_scan_cost(updates as usize, 16 * 1024);
-
-    let base_counts = path_oram_plus_round(&config.geometry, updates, 4096);
-    let fed_counts = fedora_round(
-        &config.geometry,
-        effective_k(updates, epsilon),
-        config.raw.eviction_period,
-        4096,
-    );
-    let base = model.analytic_round_latency(&config, &base_counts, updates, 0, true);
-    let fed = model.analytic_round_latency(&config, &fed_counts, updates, scans, true);
-    println!(
-        "{} table, {updates} updates/round, eps = {epsilon}:",
-        table.name
-    );
-    println!(
-        "  Path ORAM+: {:.2} s added per round ({:.1}% of a 2-min round)",
-        base.total_s(),
-        base.overhead_fraction() * 100.0
-    );
-    println!(
-        "  FEDORA:     {:.2} s added per round ({:.1}%)  [{:.1}x better]",
-        fed.total_s(),
-        fed.overhead_fraction() * 100.0,
-        base.total_s() / fed.total_s()
-    );
-    println!(
-        "  FEDORA breakdown: SSD {:.2} s, DRAM {:.2} s, controller {:.2} s, eviction {:.2} s",
-        fed.ssd_ns / 1e9,
-        fed.dram_ns / 1e9,
-        fed.controller_ns / 1e9,
-        fed.eviction_ns / 1e9
-    );
-    let registry = registry_for(flags);
-    registry
-        .gauge("model.latency.path_oram_plus_s")
-        .set(base.total_s());
-    registry.gauge("model.latency.fedora_s").set(fed.total_s());
-    registry
-        .gauge("model.latency.fedora_overhead_fraction")
-        .set(fed.overhead_fraction());
-    registry.gauge("model.latency.epsilon").set(epsilon);
-    write_metrics(flags, &registry.snapshot())
-}
-
-fn cmd_round(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_round(flags: &Flags, out: &mut dyn Write) -> CmdResult {
     let entries = u64_flag(flags, "entries", 4096)?;
     let epsilon = f64_flag(flags, "epsilon", 1.0)?;
     let requests: Vec<u64> = flags
@@ -488,15 +488,16 @@ fn cmd_round(flags: &HashMap<String, String>) -> Result<(), String> {
         return Err(format!(
             "{} request ids; a round takes at most {MAX_REQUESTS_PER_ROUND}",
             requests.len()
-        ));
+        )
+        .into());
     }
     if let Some(&bad) = requests.iter().find(|&&r| r >= entries) {
-        return Err(format!("request {bad} outside table of {entries} entries"));
+        return Err(format!("request {bad} outside table of {entries} entries").into());
     }
 
     let (mut server, mut rng) = live_server(flags)?;
     if let Some(dir) = flags.get("state-dir") {
-        attach_state_dir(&mut server, dir)?;
+        attach_state_dir(&mut server, dir, out)?;
     }
     let _report = server
         .begin_round(&requests, &mut rng)
@@ -516,21 +517,25 @@ fn cmd_round(flags: &HashMap<String, String>) -> Result<(), String> {
     let done = server
         .end_round(&mut mode, 1.0, &mut rng)
         .map_err(|e| e.to_string())?;
-    println!("Round over {} entries at eps = {epsilon}:", entries);
-    println!(
+    writeln!(out, "Round over {} entries at eps = {epsilon}:", entries)?;
+    writeln!(
+        out,
         "  K = {} requests, k_union = {}, k = {} accesses",
         done.k_requests, done.k_union, done.k_accesses
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  dummies = {}, lost = {}, EO accesses = {}",
         done.dummies, done.lost, done.eo_accesses
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  SSD: {} pages read, {} pages written",
         done.ssd.pages_read, done.ssd.pages_written
-    );
+    )?;
     let phases = done.phases;
-    println!(
+    writeln!(
+        out,
         "  phases: union {:.3} ms, fetch {:.3} ms, serve {:.3} ms, \
          aggregate {:.3} ms, write {:.3} ms (round {:.3} ms)",
         phases.union_ns as f64 / 1e6,
@@ -539,8 +544,8 @@ fn cmd_round(flags: &HashMap<String, String>) -> Result<(), String> {
         phases.aggregate_ns as f64 / 1e6,
         phases.write_ns as f64 / 1e6,
         phases.round_ns as f64 / 1e6,
-    );
-    write_metrics(flags, &server.registry().snapshot())
+    )?;
+    write_metrics(flags, &server.registry().snapshot(), out)
 }
 
 /// Runs the `fedora-net` front end over a live pipeline server until a
@@ -548,14 +553,14 @@ fn cmd_round(flags: &HashMap<String, String>) -> Result<(), String> {
 /// committed round and reports the engine outcome. With `--state-dir`
 /// every committed round is journaled, so killing the process mid-round
 /// loses at most the open (uncommitted) round.
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> CmdResult {
     let listen = flags
         .get("listen")
         .map(String::as_str)
         .unwrap_or("127.0.0.1:0");
     let (mut server, _rng) = live_server(flags)?;
     if let Some(dir) = flags.get("state-dir") {
-        attach_state_dir(&mut server, dir)?;
+        attach_state_dir(&mut server, dir, out)?;
     }
     let seed = u64_flag(flags, "seed", 42)?;
     let config = NetConfig {
@@ -566,65 +571,44 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let handle = NetServer::spawn(server, seed ^ 0x5EED, listen, config)
         .map_err(|e| format!("bind {listen}: {e}"))?;
     // CI and scripts wait for this exact line to learn the bound port.
-    println!("listening on {}", handle.addr());
-    use std::io::Write as _;
-    std::io::stdout().flush().ok();
+    // Nobody can learn it if the line cannot be written, so stop.
+    if let Err(e) = writeln!(out, "listening on {}", handle.addr()).and_then(|()| out.flush()) {
+        handle.shutdown_and_join();
+        return Err(e.into());
+    }
     let registry = handle.registry().clone();
     let outcome = handle.join();
-    println!("serve loop finished: {outcome:?}");
-    write_metrics(flags, &registry.snapshot())
+    writeln!(out, "serve loop finished: {outcome:?}")?;
+    write_metrics(flags, &registry.snapshot(), out)
 }
 
-fn cmd_attack(flags: &HashMap<String, String>) -> Result<(), String> {
-    let epsilon = f64_flag(flags, "epsilon", 1.0)?;
-    let trials = u64_flag(flags, "trials", 20_000)? as u32;
-    let mech = if epsilon.is_infinite() {
-        FdpMechanism::no_privacy()
-    } else {
-        FdpMechanism::new(epsilon, YShape::Uniform).map_err(|e| e.to_string())?
+fn cmd_help(_flags: &Flags, out: &mut dyn Write) -> CmdResult {
+    out.write_all(USAGE.as_bytes())?;
+    Ok(())
+}
+
+fn run(args: &[String], out: &mut dyn Write) -> CmdResult {
+    let Some((name, rest)) = args.split_first() else {
+        return cmd_help(&Flags::new(), out);
     };
-    let mut rng = StdRng::seed_from_u64(u64_flag(flags, "seed", 7)?);
-    let out = count_attack(&mech, 30, 100, trials, &mut rng);
-    println!("Optimal access-count distinguisher at eps = {epsilon} ({trials} trials):");
-    println!("  success rate: {:.2}%", out.success_rate * 100.0);
-    println!("  DP bound:     {:.2}%", dp_success_bound(epsilon) * 100.0);
-    let registry = registry_for(flags);
-    registry.gauge("attack.success_rate").set(out.success_rate);
-    registry
-        .gauge("attack.dp_bound")
-        .set(dp_success_bound(epsilon));
-    registry.gauge("attack.epsilon").set(epsilon);
-    write_metrics(flags, &registry.snapshot())
+    let (cmd, accepted) =
+        command(name).ok_or_else(|| format!("unknown command '{name}'\n\n{USAGE}"))?;
+    let flags = parse_flags(name, accepted, rest)?;
+    cmd(&flags, out)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (cmd, rest) = match args.split_first() {
-        None => {
-            print!("{USAGE}");
-            return;
+    let stdout = io::stdout();
+    let mut out = stdout.lock();
+    match run(&args, &mut out).and_then(|()| out.flush().map_err(CliError::Stdout)) {
+        Ok(()) => {}
+        // The reader is gone (`| head`, a closed pipe): nobody is left to
+        // tell, and nothing went wrong on this side.
+        Err(CliError::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
         }
-        Some((c, r)) => (c.as_str(), r),
-    };
-    let result = parse_flags(rest).and_then(|flags| match cmd {
-        "lifetime" => cmd_lifetime(&flags),
-        "latency" => cmd_latency(&flags),
-        "round" => cmd_round(&flags),
-        "checkpoint" => cmd_checkpoint(&flags),
-        "restore" => cmd_restore(&flags),
-        "attack" => cmd_attack(&flags),
-        "serve" => cmd_serve(&flags),
-        "watch" => cmd_watch(&flags),
-        "scrape" => cmd_scrape(&flags),
-        "tail" => cmd_tail(&flags),
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}'\n\n{USAGE}")),
-    });
-    if let Err(msg) = result {
-        eprintln!("error: {msg}");
-        std::process::exit(1);
     }
 }

@@ -31,7 +31,7 @@ use fedora_telemetry::json::{self, Json, JsonError};
 pub const MAX_ENTRIES_PER_TRAIN: usize = 256;
 
 /// Most alarm names a `watch_ok` report may carry (untrusted-input bound;
-/// the server only ever emits three distinct alarms today).
+/// the server only ever emits two distinct alarms today).
 pub const MAX_WATCH_ALARMS: usize = 16;
 
 /// Most journal events a single `tail_ok` reply may carry; servers clamp
@@ -458,9 +458,6 @@ pub fn encode_response(seq: u64, resp: &Response) -> Vec<u8> {
                     ("requests".to_owned(), Json::Num(r.requests as f64)),
                     ("shed_ppm".to_owned(), Json::Num(r.shed_ppm as f64)),
                     ("total_epsilon".to_owned(), finite_num(r.total_epsilon)),
-                    ("eps_hat".to_owned(), finite_num(r.eps_hat)),
-                    ("eps_samples".to_owned(), Json::Num(r.eps_samples as f64)),
-                    ("eps_budget".to_owned(), finite_num(r.eps_budget)),
                     (
                         "alarms".to_owned(),
                         Json::Arr(r.alarms.iter().map(|a| Json::Str(a.clone())).collect()),
@@ -681,9 +678,6 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ProtoError> {
                             "total_epsilon",
                             "missing report total_epsilon",
                         )?,
-                        eps_hat: get_f64_or_inf(obj, "eps_hat", "missing eps_hat")?,
-                        eps_samples: get_u64(obj, "eps_samples", "missing eps_samples")?,
-                        eps_budget: get_f64_or_inf(obj, "eps_budget", "missing eps_budget")?,
                         alarms,
                         overhead_ns: get_u64(obj, "overhead_ns", "missing overhead_ns")?,
                     })
@@ -837,10 +831,7 @@ mod tests {
                     requests: 480,
                     shed_ppm: 20_833,
                     total_epsilon: 4.0,
-                    eps_hat: 0.07,
-                    eps_samples: 64,
-                    eps_budget: 0.1,
-                    alarms: vec!["round_p99".into(), "empirical_eps".into()],
+                    alarms: vec!["round_p99".into(), "shed_ppm".into()],
                     overhead_ns: 18_000,
                 }),
             },

@@ -57,16 +57,6 @@ impl Bucket {
         &self.slots
     }
 
-    /// Mutable slot access.
-    pub fn slots_mut(&mut self) -> &mut [Slot] {
-        &mut self.slots
-    }
-
-    /// Iterates over the valid blocks.
-    pub fn valid_blocks(&self) -> impl Iterator<Item = &Block> {
-        self.slots.iter().filter(|s| s.valid).map(|s| &s.block)
-    }
-
     /// Number of valid blocks.
     pub fn occupancy(&self) -> usize {
         self.slots.iter().filter(|s| s.valid).count()

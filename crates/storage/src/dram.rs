@@ -157,11 +157,6 @@ impl SimDram {
         self.bytes = bytes;
         self.stats = stats;
     }
-
-    /// Static power of this module in watts (375 mW/GB by default).
-    pub fn static_power_w(&self) -> f64 {
-        self.profile.static_power_w_per_gb * (self.bytes.len() as f64 / crate::profile::GB)
-    }
 }
 
 #[cfg(test)]
@@ -196,11 +191,5 @@ mod tests {
         assert_eq!(d.stats().bytes_written, 64);
         assert_eq!(d.stats().bytes_read, 128);
         assert!(d.stats().busy_ns > 0);
-    }
-
-    #[test]
-    fn static_power_scales() {
-        let one_gb = SimDram::new(DramProfile::default(), 1_000_000_000);
-        assert!((one_gb.static_power_w() - 0.375).abs() < 1e-6);
     }
 }

@@ -83,11 +83,6 @@ impl DeviceStats {
             faults_transient: self.faults_transient + other.faults_transient,
         }
     }
-
-    /// Busy time in seconds.
-    pub fn busy_seconds(&self) -> f64 {
-        self.busy_ns as f64 / 1e9
-    }
 }
 
 impl core::fmt::Display for DeviceStats {
@@ -153,13 +148,6 @@ mod tests {
         s.faults_bitflip = 2;
         s.reset();
         assert_eq!(s, DeviceStats::default());
-    }
-
-    #[test]
-    fn busy_seconds_converts() {
-        let mut s = DeviceStats::new();
-        s.record_read(1, 1, 1_500_000_000);
-        assert!((s.busy_seconds() - 1.5).abs() < 1e-9);
     }
 
     #[test]
